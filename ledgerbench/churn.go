@@ -35,7 +35,7 @@ const (
 	// churnStreams independent universes share a run: how long a
 	// re-solve takes depends on the universe, and averaging over several
 	// keeps the seed from moving the figures much.
-	churnStreams = 4
+	churnStreams = 8
 	churnM       = 20
 	churnEvals   = 100
 	// churnWarmBatches are applied untimed to every stream before the
@@ -217,7 +217,7 @@ type churnPhase struct {
 func (w *churnWork) timedPhase(seconds float64, minOps int, rec *recorder, eng *engineStats, res *result) *churnPhase {
 	ph := &churnPhase{phase: newPhase()}
 	settle()
-	a0, g0 := allocSnapshot()
+	u0 := usageNow()
 	start := time.Now()
 	for i := 0; time.Since(start).Seconds() < seconds || len(ph.latMs) < minOps; i++ {
 		s := w.streams[i%len(w.streams)]
@@ -251,18 +251,16 @@ func (w *churnWork) timedPhase(seconds float64, minOps int, rec *recorder, eng *
 			ph.sols = append(ph.sols, sol)
 		}
 		if check {
-			p0 := time.Now()
-			if err := s.checkFresh(*input, sol); err != nil {
-				res.problem("op %d: %v", i, err)
-			}
-			ph.checked++
-			runtime.GC()
-			ph.paused += sinceMs(p0) / 1e3
+			ph.pause(func() {
+				if err := s.checkFresh(*input, sol); err != nil {
+					res.problem("op %d: %v", i, err)
+				}
+				ph.checked++
+			})
 		}
 	}
 	ph.wall = sinceMs(start) / 1e3
-	a1, g1 := allocSnapshot()
-	ph.alloc, ph.gcs = a1-a0, g1-g0
+	ph.finish(u0)
 	return ph
 }
 
@@ -284,7 +282,7 @@ func runChurn(cfg runConfig) (*result, error) {
 		return err
 	}
 	var setup setupTimer
-	if err := setup.sample(2*churnStreams, build); err != nil {
+	if err := setup.sample(3*churnStreams, build); err != nil {
 		return nil, err
 	}
 	if err := w.start(); err != nil {
@@ -303,7 +301,7 @@ func runChurn(cfg runConfig) (*result, error) {
 		res.problem("no operation was sampled for the warm ≡ from-scratch check")
 	}
 	if !cfg.Trace {
-		if err := setup.sample(2*churnStreams, build); err != nil {
+		if err := setup.sample(3*churnStreams, build); err != nil {
 			return nil, err
 		}
 		plain.createMs = createMs
@@ -337,9 +335,8 @@ func runChurn(cfg runConfig) (*result, error) {
 	if err := probeCodecs(sampleEvery(traced.sols, 30), pr); err != nil {
 		return nil, err
 	}
-	ops := len(plain.latMs)
-	res.Metrics = layerMetrics(pr, eng, traced.applyMs, nil,
-		float64(plain.alloc)/(1<<20)/float64(ops), float64(plain.gcs)/float64(ops),
+	allocMB, gcs := plain.perOp()
+	res.Metrics = layerMetrics(pr, eng, traced.applyMs, nil, allocMB, gcs,
 		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {

@@ -32,7 +32,7 @@ const (
 	fig6Workers = 2
 	fig6Steps   = 4
 	// fig6Universes is how many universes a run's cells rotate over.
-	fig6Universes = 8
+	fig6Universes = 16
 	// fig6ReplayCells are re-solved untimed on fresh engines after the
 	// timed phase; their digest must equal the timed one.
 	fig6ReplayCells = 2
@@ -205,7 +205,7 @@ type fig6Phase struct {
 func (w *fig6) timedPhase(seconds float64, minOps int, rec *recorder, eng *engineStats, res *result) *fig6Phase {
 	ph := &fig6Phase{phase: newPhase()}
 	settle()
-	a0, g0 := allocSnapshot()
+	u0 := usageNow()
 	start := time.Now()
 	for c := 0; time.Since(start).Seconds() < seconds || len(ph.latMs) < minOps; c++ {
 		createMs, err := w.runCell(c, rec, eng, func(r opResult, latMs float64) {
@@ -237,8 +237,7 @@ func (w *fig6) timedPhase(seconds float64, minOps int, rec *recorder, eng *engin
 		ph.createMs = append(ph.createMs, createMs)
 	}
 	ph.wall = sinceMs(start) / 1e3
-	a1, g1 := allocSnapshot()
-	ph.alloc, ph.gcs = a1-a0, g1-g0
+	ph.finish(u0)
 	return ph
 }
 
@@ -280,7 +279,7 @@ func runFig6(cfg runConfig) (*result, error) {
 		return err
 	}
 	var setup setupTimer
-	if err := setup.sample(2*fig6Universes, build); err != nil {
+	if err := setup.sample(3*fig6Universes, build); err != nil {
 		return nil, err
 	}
 	// Warm-up: one untimed cell.
@@ -310,7 +309,7 @@ func runFig6(cfg runConfig) (*result, error) {
 	res.note("digest (sources, quality) of the first %d operations: %s", cfg.qualityOps(), plain.prefix(cfg.qualityOps()))
 
 	if !cfg.Trace {
-		if err := setup.sample(2*fig6Universes+1, build); err != nil {
+		if err := setup.sample(3*fig6Universes+1, build); err != nil {
 			return nil, err
 		}
 		plain.endToEnd(cfg, setup.median(res), heap, res)
@@ -326,9 +325,8 @@ func runFig6(cfg runConfig) (*result, error) {
 	if err := w.probe(traced, pr); err != nil {
 		return nil, err
 	}
-	ops := len(plain.latMs)
-	res.Metrics = layerMetrics(pr, eng, nil, nil,
-		float64(plain.alloc)/(1<<20)/float64(ops), float64(plain.gcs)/float64(ops),
+	allocMB, gcs := plain.perOp()
+	res.Metrics = layerMetrics(pr, eng, nil, nil, allocMB, gcs,
 		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"syscall"
 	"time"
 
 	"ube/internal/engine"
@@ -166,11 +167,34 @@ func liveHeapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-// allocSnapshot reads the process-wide allocation and GC counters.
-func allocSnapshot() (totalAlloc uint64, numGC uint32) {
+// usage is a reading of the process-wide allocation, GC and CPU-time
+// counters, or the difference between two readings.
+type usage struct {
+	alloc uint64  // bytes allocated
+	gcs   uint32  // completed GC cycles
+	cpuMs float64 // user + system CPU time of the whole process
+}
+
+// usageNow reads the counters. CPU time comes from getrusage: it counts
+// only time the process's threads ran, so unlike wall time it leaves out
+// time the machine lent the CPU to other tenants (steal), though not the
+// slowdown from sharing caches and cores with them.
+func usageNow() usage {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc, ms.NumGC
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // RUSAGE_SELF cannot fail
+	var r reading
+	r.v = float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e6
+	return usage{alloc: ms.TotalAlloc, gcs: ms.NumGC, cpuMs: r.v}
+}
+
+func (u usage) sub(o usage) usage {
+	return usage{alloc: u.alloc - o.alloc, gcs: u.gcs - o.gcs, cpuMs: u.cpuMs - o.cpuMs}
+}
+
+func (u usage) add(o usage) usage {
+	return usage{alloc: u.alloc + o.alloc, gcs: u.gcs + o.gcs, cpuMs: u.cpuMs + o.cpuMs}
 }
 
 // phase accumulates one timed phase: per-operation latencies and the
@@ -183,11 +207,39 @@ type phase struct {
 	failed    int
 	wall      float64 // seconds from the first operation to the last
 	paused    float64 // seconds of untimed checking inside the phase
-	alloc     uint64
-	gcs       uint32
+	// used is what the timed operations consumed: the phase's usage
+	// minus that of the untimed checks inside it (pausedUse).
+	used      usage
+	pausedUse usage
 }
 
 func newPhase() *phase { return &phase{quality: map[int]float64{}} }
+
+// pause runs an untimed check inside the phase: its wall time and usage,
+// and that of the collection of its garbage, count against neither the
+// phase's throughput nor its per-operation usage.
+func (p *phase) pause(check func()) {
+	t0, u0 := time.Now(), usageNow()
+	check()
+	runtime.GC()
+	p.pausedUse = p.pausedUse.add(usageNow().sub(u0))
+	p.paused += sinceMs(t0) / 1e3
+}
+
+// finish records the phase's usage since u0, less the paused checks'.
+func (p *phase) finish(u0 usage) {
+	p.used = usageNow().sub(u0).sub(p.pausedUse)
+}
+
+// perOp returns the timed operations' allocation (MiB) and GC cycles per
+// operation, for the traced run's go.* metrics.
+func (p *phase) perOp() (allocMB, gcs float64) {
+	if len(p.latMs) == 0 {
+		return 0, 0
+	}
+	n := float64(len(p.latMs))
+	return float64(p.used.alloc) / (1 << 20) / n, float64(p.used.gcs) / n
+}
 
 func (p *phase) opsPerSecond() float64 {
 	active := p.wall - p.paused
@@ -203,6 +255,12 @@ func (p *phase) endToEnd(cfg runConfig, setupS, heapMB float64, res *result) {
 	m["setup_s"] = setupS
 	m["heap_live_mb"] = heapMB
 	m["ops_per_s"] = p.opsPerSecond()
+	if n := len(p.latMs); n > 0 {
+		m["cpu_ms_per_op"] = p.used.cpuMs / float64(n)
+	}
+	if p.attempted > 0 {
+		m["completed_share"] = float64(p.attempted-p.failed) / float64(p.attempted)
+	}
 	beyond := 10
 	if cfg.Smoke {
 		beyond = 0
@@ -234,7 +292,7 @@ func (p *phase) endToEnd(cfg runConfig, setupS, heapMB float64, res *result) {
 	m["quality_mean"] = mean(qs)
 	res.note("samples: %d operations (p95 has %d beyond it), %d creates, quality over the first %d operations",
 		len(p.latMs), int(math.Floor(0.05*float64(len(p.latMs)))), len(p.createMs), n)
-	res.note("failed_share: %d/%d", p.failed, p.attempted)
+	res.note("failed_share: %d/%d; cpu: %.1f s of process CPU time over %.1f s of operations", p.failed, p.attempted, p.used.cpuMs/1e3, p.wall-p.paused)
 }
 
 // digest folds a sequence of solutions into a short hash of their source

@@ -54,10 +54,14 @@ const (
 	// solve servePatchBefore.
 	serveSolves      = 8
 	servePatchBefore = 3
-	serveSetupReps   = 12 // builds timed before the phase, and again after
+	serveSetupReps   = 24 // builds timed before the phase, and again after
 	// serveSolveWorkers is each solve's evaluation fan-out (see user).
 	serveSolveWorkers = 2
 	serveWarmUser     = 1 << 30
+	// A traced phase fetches the solve traces of every serveTraceEvery-th
+	// user, up to serveTraceUsers users.
+	serveTraceEvery = 4
+	serveTraceUsers = 4
 	// Request headers that let the traced run's shard middleware attach
 	// handler spans to the client's operation.
 	hdrOp   = "X-Ledger-Op"
@@ -420,7 +424,11 @@ type userRun struct {
 	create   int32 // traced create root span
 	solves   []solveRec
 	patched  bool
-	finished bool
+	fetched  bool // history fetched
+	closed   bool // session deleted
+	// traceKept marks a traced phase's sampled user: its session stays
+	// open until the phase has ended, when its solve traces are fetched.
+	traceKept bool
 	// historySum hashes the normalized served history; the bytes
 	// themselves are kept only in traced phases, for the replay probes.
 	historySum [sha256.Size]byte
@@ -434,7 +442,7 @@ type stopFn func() bool
 
 // play runs a user's script — the create and then up to solves solves —
 // until it ends or stop() reports the phase over after an operation. The
-// session is left open; finish closes it.
+// session is left open; fetchHistory and close finish it.
 func (c *client) play(u *user, solves int, stop stopFn, onSolve func(solveRec)) *userRun {
 	r := &userRun{u: u}
 	create, err := c.w.createBody(u)
@@ -514,33 +522,40 @@ func (c *client) play(u *user, solves int, stop stopFn, onSolve func(solveRec)) 
 	return r
 }
 
-// finish fetches the user's history (normalized for the replay check)
-// and, when traced, the server's solve traces, then deletes the session.
-func (c *client) finish(r *userRun, traces *serverTraces) {
-	if r.id == "" || r.finished {
+// fetchHistory fetches the user's history, normalized for the replay
+// check; keep retains the bytes for the replay probes.
+func (c *client) fetchHistory(r *userRun, keep bool) {
+	if r.id == "" || r.fetched || r.failed != nil {
 		return
 	}
-	r.finished = true
-	path := "/v1/sessions/" + r.id
-	if r.failed == nil {
-		status, body, err := c.do(http.MethodGet, path+"/history", nil, -1, -1)
-		if err == nil && status != http.StatusOK {
-			err = fmt.Errorf("history: HTTP %d", status)
-		}
-		var h []byte
-		if err == nil {
-			h, err = normalizeHistory(body)
-		}
-		if err != nil {
-			r.failed = err
-		} else {
-			r.historySum = sha256.Sum256(h)
-			if traces != nil {
-				r.history = h
-			}
-		}
+	r.fetched = true
+	status, body, err := c.do(http.MethodGet, "/v1/sessions/"+r.id+"/history", nil, -1, -1)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("history: HTTP %d", status)
 	}
-	if traces != nil {
+	var h []byte
+	if err == nil {
+		h, err = normalizeHistory(body)
+	}
+	if err != nil {
+		r.failed = err
+		return
+	}
+	r.historySum = sha256.Sum256(h)
+	if keep {
+		r.history = h
+	}
+}
+
+// close deletes the user's session, first fetching the server's solve
+// traces of a sampled user into traces when that is non-nil.
+func (c *client) close(r *userRun, traces *serverTraces) {
+	if r.id == "" || r.closed {
+		return
+	}
+	r.closed = true
+	path := "/v1/sessions/" + r.id
+	if traces != nil && r.traceKept {
 		for k, s := range r.solves {
 			status, body, err := c.do(http.MethodGet, path+"/trace?iter="+strconv.Itoa(k), nil, -1, -1)
 			if err != nil || status != http.StatusOK {
@@ -655,9 +670,13 @@ type servePhase struct {
 
 // timedPhase runs both clients, users from 0 on, until the phase has
 // lasted seconds and holds at least minOps solves. A user the end
-// interrupts is finished untimed; then each client parks one session,
-// which stays open for the heap reading until closePhase.
-func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, traces *serverTraces, res *result) (*servePhase, error) {
+// interrupts is finished untimed. A traced phase (rec non-nil) keeps the
+// sessions of a few sampled users open for closePhase to fetch their
+// solve traces from, so that its clients send the same requests as an
+// untraced phase's. The phase's usage and WAL counters are read when the
+// clients stop; then one session per client is parked, which stays open
+// for the heap reading until closePhase.
+func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, res *result) (*servePhase, error) {
 	f := w.fleet
 	before, err := w.walSnapshot()
 	if err != nil {
@@ -673,7 +692,7 @@ func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, trace
 		lastEnd float64 // seconds from start to the last operation's end
 	)
 	settle()
-	a0, g0 := allocSnapshot()
+	u0 := usageNow()
 	start := time.Now()
 	stop := func() bool {
 		if stopped.Load() {
@@ -699,7 +718,13 @@ func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, trace
 					stopped.Store(true)
 					return
 				}
-				r := c.play(u, serveSolves, stop, func(s solveRec) {
+				// The users whose solves quality_mean averages always finish
+				// their scripts, so the phase's end cannot leave a gap in them.
+				userStop := stop
+				if u.idx*serveSolves < w.cfg.qualityOps() {
+					userStop = func() bool { return false }
+				}
+				r := c.play(u, serveSolves, userStop, func(s solveRec) {
 					solves.Add(1)
 					mu.Lock()
 					ph.latMs = append(ph.latMs, s.latMs)
@@ -708,6 +733,7 @@ func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, trace
 					ph.attempted++
 					mu.Unlock()
 				})
+				r.traceKept = rec != nil && u.idx%serveTraceEvery == 0 && u.idx < serveTraceEvery*serveTraceUsers
 				mu.Lock()
 				ph.runs = append(ph.runs, r)
 				if r.id != "" {
@@ -721,47 +747,52 @@ func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, trace
 				ph.rejections += r.rejected
 				lastEnd = max(lastEnd, sinceMs(start)/1e3)
 				mu.Unlock()
-				if r.failed == nil {
-					c.finish(r, traces)
+				c.fetchHistory(r, rec != nil)
+				if !r.traceKept && r.failed == nil {
+					c.close(r, nil)
 				}
-			}
-			// The heap reading must not depend on where in their scripts the
-			// phase's end caught the users (each θ a session has solved at
-			// keeps its own caches), so every client parks one session at
-			// the same point — created and solved once, untimed.
-			u, err := w.user(int(next.Add(1) - 1))
-			if err == nil {
-				r := c.play(u, 1, func() bool { return false }, func(solveRec) {})
-				mu.Lock()
-				ph.runs = append(ph.runs, r)
-				if r.failed != nil {
-					res.problem("user %d: %v", u.idx, r.failed)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 	ph.wall = lastEnd
-	a1, g1 := allocSnapshot()
-	ph.alloc, ph.gcs = a1-a0, g1-g0
+	ph.finish(u0)
 	ph.solves = int(solves.Load())
 	after, err := w.walSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	ph.walDelta = after.sub(before)
+
+	// The heap reading must not depend on where in their scripts the
+	// phase's end caught the users (each θ a session has solved at keeps
+	// its own caches), so every client parks one session at the same
+	// point — created and solved once, untimed and untraced.
+	c := w.newClient(f.base, nil)
+	defer c.http.CloseIdleConnections()
+	for i := 0; i < serveClients; i++ {
+		u, err := w.user(int(next.Add(1) - 1))
+		if err != nil {
+			return nil, err
+		}
+		r := c.play(u, 1, func() bool { return false }, func(solveRec) {})
+		ph.runs = append(ph.runs, r)
+		if r.failed != nil {
+			res.problem("user %d: %v", u.idx, r.failed)
+		}
+	}
 	return ph, nil
 }
 
-// closePhase closes the parked sessions and any a failure left open.
+// closePhase fetches the histories and, into traces when that is
+// non-nil, the sampled users' solve traces of the sessions still open,
+// and closes them.
 func (w *serveWork) closePhase(ph *servePhase, traces *serverTraces) {
 	c := w.newClient(w.fleet.base, nil)
 	defer c.http.CloseIdleConnections()
 	for _, r := range ph.runs {
-		if !r.finished {
-			c.finish(r, traces)
-		}
+		c.fetchHistory(r, traces != nil)
+		c.close(r, traces)
 	}
 }
 
@@ -815,7 +846,7 @@ func (w *serveWork) check(runs []*userRun, res *result, applyMs *[]float64) {
 		}()
 	}
 	for _, r := range runs {
-		if r.failed == nil && r.finished {
+		if r.failed == nil && r.fetched {
 			jobs <- r
 		}
 	}
@@ -907,7 +938,8 @@ func runServe(cfg runConfig) (*result, error) {
 	}
 	c := w.newClient(w.fleet.base, nil)
 	wr := c.play(warm, serveSolves, func() bool { return false }, func(solveRec) {})
-	c.finish(wr, nil)
+	c.fetchHistory(wr, false)
+	c.close(wr, nil)
 	c.http.CloseIdleConnections()
 	if wr.failed != nil {
 		return nil, fmt.Errorf("warm-up user: %w", wr.failed)
@@ -917,7 +949,7 @@ func runServe(cfg runConfig) (*result, error) {
 	if cfg.Trace {
 		minOps = cfg.minTracedOps()
 	}
-	plain, err := w.timedPhase(cfg.phaseSeconds(), minOps, nil, nil, res)
+	plain, err := w.timedPhase(cfg.phaseSeconds(), minOps, nil, res)
 	if err != nil {
 		return nil, err
 	}
@@ -943,7 +975,7 @@ func runServe(cfg runConfig) (*result, error) {
 	rec := newRecorder()
 	traces := &serverTraces{}
 	w.tap.Store(rec)
-	traced, err := w.timedPhase(cfg.phaseSeconds(), cfg.minTracedOps(), rec, traces, res)
+	traced, err := w.timedPhase(cfg.phaseSeconds(), cfg.minTracedOps(), rec, res)
 	if err != nil {
 		return nil, err
 	}
@@ -960,9 +992,8 @@ func runServe(cfg runConfig) (*result, error) {
 	if err := w.probe(traced, pr); err != nil {
 		return nil, err
 	}
-	ops := len(plain.latMs)
-	res.Metrics = layerMetrics(pr, eng, applyMs, sl,
-		float64(plain.alloc)/(1<<20)/float64(ops), float64(plain.gcs)/float64(ops),
+	allocMB, gcs := plain.perOp()
+	res.Metrics = layerMetrics(pr, eng, applyMs, sl, allocMB, gcs,
 		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {
