@@ -16,28 +16,28 @@ type metricDef struct {
 // tracing off. An operation is one solve (fig6-feedback, serve-sessions)
 // or one mutation batch plus its warm re-solve (churn-refresh).
 //
+// The timings are costs: the process's CPU time over each operation
+// (every layer and the garbage collector; serve-sessions' in-process
+// shards and router too), with operations run one at a time so the time
+// is the operation's own, divided by the CPU time of the benchmark's
+// fixed reference kernel run beside it (refkernel.go), so the unit "ref"
+// is one run of that kernel. On the shared 2-vCPU machine the benchmark
+// was tuned on, wall-clock medians of the same code moved by 30–47 %
+// between runs (steal), and CPU time in ms by up to ~30 % (the host runs
+// the same code slower or faster as other tenants load its cores); the
+// cost in kernel runs moved by a few per cent. The report prints the
+// timings in ms of CPU time and by the wall clock beside these, ungated.
+//
 // completed_share is 1 − failed_share: operations completed over
 // operations attempted, with no retries. It is reported as the complement
 // because a metric that reads 0 on every healthy run has no median to
 // bound; any failure also makes the run incorrect.
-//
-// cpu_ms_per_op is the process's CPU time (every layer, the garbage
-// collector included; serve-sessions' in-process shards and router too)
-// per completed operation: the cost of an operation, without the steal
-// time wall-clock timings include.
-//
-// Bounds: on a shared 2-vCPU machine the speed a run gets drifts by up to
-// ~30 % from one run to the next when other tenants load the host, and
-// every timing, CPU time included, moves with it, so the timings carry
-// the widest bound allowed. Quality is a pure function of the seed and
-// the heap nearly so; their spreads over seeds stay under 3 %.
 var endToEnd = []metricDef{
 	{Name: "setup_s", Unit: "s", Better: "lower", Bound: 0.25},
-	{Name: "latency_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25},
-	{Name: "latency_p95_ms", Unit: "ms", Better: "lower", Bound: 0.25},
-	{Name: "ops_per_s", Unit: "1/s", Better: "higher", Bound: 0.25},
-	{Name: "cpu_ms_per_op", Unit: "ms", Better: "lower", Bound: 0.25},
-	{Name: "create_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25},
+	{Name: "cost_p50_ref", Unit: "ref", Better: "lower", Bound: 0.25},
+	{Name: "cost_p95_ref", Unit: "ref", Better: "lower", Bound: 0.25},
+	{Name: "cost_per_op_ref", Unit: "ref", Better: "lower", Bound: 0.25},
+	{Name: "create_cost_p50_ref", Unit: "ref", Better: "lower", Bound: 0.25},
 	{Name: "quality_mean", Unit: "Q", Better: "higher", Bound: 0.1},
 	{Name: "heap_live_mb", Unit: "MiB", Better: "lower", Bound: 0.1},
 	{Name: "completed_share", Unit: "fraction", Better: "higher", Bound: 0.01},
@@ -54,59 +54,59 @@ const (
 // workload never calls reports 0 (1 for shard imbalance: an in-process
 // workload has one engine, perfectly balanced).
 var perLayer = []metricDef{
-	{Name: "router.proxy_solve_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onServe},
-	{Name: "router.proxy_create_ms", Unit: "ms", Better: "lower", Target: "create_p50_ms" + onServe},
-	{Name: "router.shard_imbalance", Unit: "ratio", Better: "lower", Target: "latency_p95_ms" + onServe},
+	{Name: "router.proxy_solve_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onServe},
+	{Name: "router.proxy_create_ms", Unit: "ms", Better: "lower", Target: "create_cost_p50_ref" + onServe},
+	{Name: "router.shard_imbalance", Unit: "ratio", Better: "lower", Target: "latency_p95_ms (wall)" + onServe},
 
-	{Name: "server.handler_solve_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onServe},
-	{Name: "server.handler_create_ms", Unit: "ms", Better: "lower", Target: "create_p50_ms" + onServe},
-	{Name: "server.wait_ms", Unit: "ms", Better: "lower", Target: "latency_p95_ms" + onServe},
+	{Name: "server.handler_solve_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onServe},
+	{Name: "server.handler_create_ms", Unit: "ms", Better: "lower", Target: "create_cost_p50_ref" + onServe},
+	{Name: "server.wait_ms", Unit: "ms", Better: "lower", Target: "latency_p95_ms (wall)" + onServe},
 	{Name: "server.rejections", Unit: "count", Better: "lower", Target: "completed_share" + onServe},
 
-	{Name: "schemaio.universe_decode_ms", Unit: "ms", Better: "lower", Target: "create_p50_ms" + onServe},
-	{Name: "schemaio.solution_encode_json_us", Unit: "us", Better: "lower", Target: "latency_p50_ms" + onServe},
-	{Name: "schemaio.solution_encode_binary_us", Unit: "us", Better: "lower", Target: "latency_p50_ms" + onServe},
-	{Name: "schemaio.response_bytes", Unit: "bytes", Better: "lower", Target: "latency_p50_ms" + onServe},
+	{Name: "schemaio.universe_decode_ms", Unit: "ms", Better: "lower", Target: "create_cost_p50_ref" + onServe},
+	{Name: "schemaio.solution_encode_json_us", Unit: "us", Better: "lower", Target: "cost_p50_ref" + onServe},
+	{Name: "schemaio.solution_encode_binary_us", Unit: "us", Better: "lower", Target: "cost_p50_ref" + onServe},
+	{Name: "schemaio.response_bytes", Unit: "bytes", Better: "lower", Target: "cost_p50_ref" + onServe},
 
-	{Name: "wal.appends_per_op", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onServe},
-	{Name: "wal.records_per_fsync", Unit: "ratio", Better: "higher", Target: "create_p50_ms" + onServe},
-	{Name: "wal.bytes_per_op", Unit: "bytes", Better: "lower", Target: "create_p50_ms" + onServe},
-	{Name: "wal.flush_p50_ms", Unit: "ms", Better: "lower", Target: "create_p50_ms" + onServe},
+	{Name: "wal.appends_per_op", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onServe},
+	{Name: "wal.records_per_fsync", Unit: "ratio", Better: "higher", Target: "create_p50_ms (wall)" + onServe},
+	{Name: "wal.bytes_per_op", Unit: "bytes", Better: "lower", Target: "create_cost_p50_ref" + onServe},
+	{Name: "wal.flush_p50_ms", Unit: "ms", Better: "lower", Target: "create_p50_ms (wall)" + onServe},
 
-	{Name: "engine.new_ms", Unit: "ms", Better: "lower", Target: "setup_s" + onChurn + ", create_p50_ms" + onServe},
-	{Name: "engine.solve_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onAll},
-	{Name: "engine.setup_span_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onChurn},
-	{Name: "engine.final_span_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "engine.apply_churn_ms", Unit: "ms", Better: "lower", Target: "latency_p50_ms" + onChurn},
-	{Name: "engine.match_hit_ratio", Unit: "ratio", Better: "higher", Target: "latency_p50_ms" + onFig6},
+	{Name: "engine.new_ms", Unit: "ms", Better: "lower", Target: "setup_s" + onChurn + ", create_cost_p50_ref" + onServe},
+	{Name: "engine.solve_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onAll},
+	{Name: "engine.setup_span_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onChurn},
+	{Name: "engine.final_span_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "engine.apply_churn_ms", Unit: "ms", Better: "lower", Target: "cost_p50_ref" + onChurn},
+	{Name: "engine.match_hit_ratio", Unit: "ratio", Better: "higher", Target: "cost_p50_ref" + onFig6},
 
-	{Name: "strsim.vocab", Unit: "count", Better: "lower", Target: "setup_s, latency_p50_ms" + onChurn},
-	{Name: "strsim.build_matrix_ms", Unit: "ms", Better: "lower", Target: "setup_s, latency_p50_ms" + onChurn},
-	{Name: "strsim.build_sparse_ms", Unit: "ms", Better: "lower", Target: "setup_s, latency_p50_ms" + onChurn},
-	{Name: "block.candidates", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onChurn},
-	{Name: "block.precision", Unit: "ratio", Better: "higher", Target: "latency_p50_ms" + onChurn},
+	{Name: "strsim.vocab", Unit: "count", Better: "lower", Target: "setup_s, cost_p50_ref" + onChurn},
+	{Name: "strsim.build_matrix_ms", Unit: "ms", Better: "lower", Target: "setup_s, cost_p50_ref" + onChurn},
+	{Name: "strsim.build_sparse_ms", Unit: "ms", Better: "lower", Target: "setup_s, cost_p50_ref" + onChurn},
+	{Name: "block.candidates", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onChurn},
+	{Name: "block.precision", Unit: "ratio", Better: "higher", Target: "cost_p50_ref" + onChurn},
 
-	{Name: "search.evals", Unit: "count", Better: "lower", Target: "ops_per_s" + onFig6},
-	{Name: "search.batches", Unit: "count", Better: "lower", Target: "ops_per_s" + onFig6},
-	{Name: "search.evals_per_s", Unit: "1/s", Better: "higher", Target: "ops_per_s" + onFig6},
-	{Name: "bound.skips", Unit: "count", Better: "higher", Target: "ops_per_s" + onFig6},
+	{Name: "search.evals", Unit: "count", Better: "lower", Target: "cost_per_op_ref" + onFig6},
+	{Name: "search.batches", Unit: "count", Better: "lower", Target: "cost_per_op_ref" + onFig6},
+	{Name: "search.evals_per_s", Unit: "1/s", Better: "higher", Target: "cost_per_op_ref" + onFig6},
+	{Name: "bound.skips", Unit: "count", Better: "higher", Target: "cost_per_op_ref" + onFig6},
 
-	{Name: "cluster.match_us", Unit: "us", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "match.runs", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "cluster.pairs", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "cluster.pops", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "cluster.rounds", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "cluster.match_share_est", Unit: "ratio", Better: "lower", Target: "latency_p50_ms" + onFig6},
+	{Name: "cluster.match_us", Unit: "us", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "match.runs", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "cluster.pairs", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "cluster.pops", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "cluster.rounds", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "cluster.match_share_est", Unit: "ratio", Better: "lower", Target: "cost_p50_ref" + onFig6},
 
-	{Name: "qef.eval_us", Unit: "us", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "qef.full", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "qef.delta", Unit: "count", Better: "higher", Target: "latency_p50_ms" + onFig6},
-	{Name: "qef.delta_share", Unit: "ratio", Better: "higher", Target: "latency_p50_ms" + onFig6},
-	{Name: "pcsa.union_estimate_us", Unit: "us", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "pcsa.unions", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
-	{Name: "pcsa.snapshotUnions", Unit: "count", Better: "lower", Target: "latency_p50_ms" + onFig6},
+	{Name: "qef.eval_us", Unit: "us", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "qef.full", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "qef.delta", Unit: "count", Better: "higher", Target: "cost_p50_ref" + onFig6},
+	{Name: "qef.delta_share", Unit: "ratio", Better: "higher", Target: "cost_p50_ref" + onFig6},
+	{Name: "pcsa.union_estimate_us", Unit: "us", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "pcsa.unions", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
+	{Name: "pcsa.snapshotUnions", Unit: "count", Better: "lower", Target: "cost_p50_ref" + onFig6},
 
-	{Name: "go.alloc_mb_per_op", Unit: "MiB", Better: "lower", Target: "heap_live_mb, latency_p95_ms" + onAll},
-	{Name: "go.gc_per_op", Unit: "count", Better: "lower", Target: "heap_live_mb, latency_p95_ms" + onAll},
-	{Name: "trace.overhead", Unit: "ratio", Better: "lower", Target: "ops_per_s (traced vs untraced)" + onAll},
+	{Name: "go.alloc_mb_per_op", Unit: "MiB", Better: "lower", Target: "heap_live_mb, cost_p95_ref" + onAll},
+	{Name: "go.gc_per_op", Unit: "count", Better: "lower", Target: "heap_live_mb, cost_p95_ref" + onAll},
+	{Name: "trace.overhead", Unit: "ratio", Better: "lower", Target: "cost_per_op_ref (traced vs untraced)" + onAll},
 }

@@ -35,7 +35,7 @@ const (
 	// churnStreams independent universes share a run: how long a
 	// re-solve takes depends on the universe, and averaging over several
 	// keeps the seed from moving the figures much.
-	churnStreams = 8
+	churnStreams = 16
 	churnM       = 20
 	churnEvals   = 100
 	// churnWarmBatches are applied untimed to every stream before the
@@ -43,6 +43,9 @@ const (
 	churnWarmBatches = 3
 	// churnCheckEvery samples operations for the warm ≡ from-scratch check.
 	churnCheckEvery = 50
+	// churnSetupReps set-up builds are timed before the phase, and again
+	// after it.
+	churnSetupReps = 24
 )
 
 // churnStream is one universe and the session churning it.
@@ -97,23 +100,23 @@ func newChurn(cfg runConfig) (*churnWork, error) {
 
 // setup decodes the stream's universe, builds the engine and runs the
 // initial cold solve: everything before the stream's first operation. It
-// returns how long the session create (decode + engine.New) took, in ms.
-func (s *churnStream) setup() (float64, error) {
-	t0 := time.Now()
+// returns the cost of the session create (decode + engine.New).
+func (s *churnStream) setup() (create opCost, err error) {
+	clk := startOp()
 	u, err := decodeUniverse(s.ubytes)
 	if err != nil {
-		return 0, err
+		return create, err
 	}
 	e, err := engine.New(u)
 	if err != nil {
-		return 0, fmt.Errorf("engine.New: %w", err)
+		return create, fmt.Errorf("engine.New: %w", err)
 	}
-	createMs := sinceMs(t0)
+	create = clk.stop()
 	s.sess = engine.NewSession(e, s.prob)
 	if _, err := s.sess.Solve(); err != nil {
-		return 0, fmt.Errorf("initial solve: %w", err)
+		return create, fmt.Errorf("initial solve: %w", err)
 	}
-	return createMs, nil
+	return create, nil
 }
 
 // batch is the stream's mutation batch k: two adds from the held-out pool,
@@ -231,16 +234,16 @@ func (w *churnWork) timedPhase(seconds float64, minOps int, rec *recorder, eng *
 		if rec != nil {
 			applyMs = &ph.applyMs
 		}
-		t0 := time.Now()
+		clk := startOp()
 		sol, err := s.refresh(int64(i), k, rec, eng, applyMs, input)
-		lat := sinceMs(t0)
+		cost := clk.stop()
 		ph.attempted++
 		if err != nil {
 			ph.failed++
 			res.problem("op %d: %v", i, err)
 			break
 		}
-		ph.latMs = append(ph.latMs, lat)
+		ph.addOp(cost)
 		if err := checkSolution(s.sess.History()[len(s.sess.History())-1].Problem, sol); err != nil {
 			res.problem("op %d: %v", i, err)
 		}
@@ -271,18 +274,19 @@ func runChurn(cfg runConfig) (*result, error) {
 	}
 	res := &result{Metrics: map[string]float64{}}
 	// Each set-up sample is one stream's session create from its universe
-	// bytes plus the initial solve; create_p50_ms reads the create part of
-	// the same builds.
-	var createMs []float64
+	// bytes plus the initial solve; create_cost_p50_ref reads the create
+	// part of the same builds.
+	var createMs, createCPU []float64
 	rep := 0
 	build := func() error {
 		rep++
-		ms, err := w.streams[rep%len(w.streams)].setup()
-		createMs = append(createMs, ms)
+		c, err := w.streams[rep%len(w.streams)].setup()
+		createMs = append(createMs, c.wallMs)
+		createCPU = append(createCPU, c.cpuMs)
 		return err
 	}
 	var setup setupTimer
-	if err := setup.sample(3*churnStreams, build); err != nil {
+	if err := setup.sample(churnSetupReps, build, nil); err != nil {
 		return nil, err
 	}
 	if err := w.start(); err != nil {
@@ -301,10 +305,10 @@ func runChurn(cfg runConfig) (*result, error) {
 		res.problem("no operation was sampled for the warm ≡ from-scratch check")
 	}
 	if !cfg.Trace {
-		if err := setup.sample(3*churnStreams, build); err != nil {
+		if err := setup.sample(churnSetupReps, build, nil); err != nil {
 			return nil, err
 		}
-		plain.createMs = createMs
+		plain.createMs, plain.createCPU, plain.createRef = createMs, createCPU, setup.refs
 		plain.endToEnd(cfg, setup.median(res), heap, res)
 		return res, nil
 	}
@@ -337,7 +341,7 @@ func runChurn(cfg runConfig) (*result, error) {
 	}
 	allocMB, gcs := plain.perOp()
 	res.Metrics = layerMetrics(pr, eng, traced.applyMs, nil, allocMB, gcs,
-		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
+		overheadOf(plain.costPerOp(), traced.costPerOp()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {
 		return nil, err

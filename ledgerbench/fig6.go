@@ -28,8 +28,11 @@ const (
 	fig6Sources = 200
 	fig6Evals   = 400
 	// fig6Workers is the solver's evaluation fan-out: a constant, not
-	// nproc, so results and counters reproduce on any machine.
-	fig6Workers = 2
+	// nproc, so results and counters reproduce on any machine. One
+	// worker: with two, a solve's evaluation batches wait on the slower
+	// worker, and when the host takes one vCPU away the waiting burns CPU
+	// time, so an operation's cost moved with the host's load.
+	fig6Workers = 1
 	fig6Steps   = 4
 	// fig6Universes is how many universes a run's cells rotate over.
 	fig6Universes = 16
@@ -111,37 +114,37 @@ type opResult struct {
 }
 
 // runCell plays cell c: create, then the four feedback solves. onOp sees
-// every solve and its latency; rec (nil when untraced) receives the spans
-// and eng the engine traces.
-func (w *fig6) runCell(c int, rec *recorder, eng *engineStats, onOp func(opResult, float64)) (createMs float64, err error) {
+// every solve and its cost; rec (nil when untraced) receives the spans
+// and eng the engine traces. It returns the create's cost.
+func (w *fig6) runCell(c int, rec *recorder, eng *engineStats, onOp func(opResult, opCost)) (create opCost, err error) {
 	p, err := w.problem(c)
 	if err != nil {
-		return 0, err
+		return create, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	createOp := int64(-1 - c)
 	root := rec.begin(createOp, -1, "op.create")
-	t0 := time.Now()
+	clk := startOp()
 	sp := rec.begin(createOp, root, "schemaio.universe_decode")
 	u, err := decodeUniverse(w.ubytes[c%fig6Universes])
 	rec.end(sp)
 	if err != nil {
-		return 0, err
+		return create, err
 	}
 	sp = rec.begin(createOp, root, "engine.New")
 	e, err := engine.New(u)
 	rec.end(sp)
 	if err != nil {
-		return 0, fmt.Errorf("engine.New: %w", err)
+		return create, fmt.Errorf("engine.New: %w", err)
 	}
 	sess := engine.NewSession(e, p)
-	createMs = sinceMs(t0)
+	create = clk.stop()
 	rec.end(root)
 	w.live = sess
 
 	for step := 0; step < fig6Steps; step++ {
 		op := c*fig6Steps + step
-		t0 := time.Now()
+		clk := startOp()
 		root := rec.begin(int64(op), -1, "op.solve")
 		var editErr error
 		switch step {
@@ -159,17 +162,17 @@ func (w *fig6) runCell(c int, rec *recorder, eng *engineStats, onOp func(opResul
 			sol, editErr = solveTraced(sess, rec, eng, int64(op), root)
 		}
 		rec.end(root)
-		lat := sinceMs(t0)
+		cost := clk.stop()
 		r := opResult{op: op, sol: sol, err: editErr}
 		if editErr == nil {
 			r.problem = sess.History()[len(sess.History())-1].Problem
 		}
-		onOp(r, lat)
+		onOp(r, cost)
 		if editErr != nil {
-			return createMs, nil
+			return create, nil
 		}
 	}
-	return createMs, nil
+	return create, nil
 }
 
 // solveTraced runs one session solve, under a span with the engine's own
@@ -208,14 +211,14 @@ func (w *fig6) timedPhase(seconds float64, minOps int, rec *recorder, eng *engin
 	u0 := usageNow()
 	start := time.Now()
 	for c := 0; time.Since(start).Seconds() < seconds || len(ph.latMs) < minOps; c++ {
-		createMs, err := w.runCell(c, rec, eng, func(r opResult, latMs float64) {
+		create, err := w.runCell(c, rec, eng, func(r opResult, cost opCost) {
 			ph.attempted++
 			if r.err != nil {
 				ph.failed++
 				res.problem("op %d: %v", r.op, r.err)
 				return
 			}
-			ph.latMs = append(ph.latMs, latMs)
+			ph.addOp(cost)
 			if err := checkSolution(r.problem, r.sol); err != nil {
 				res.problem("op %d: %v", r.op, err)
 			}
@@ -234,7 +237,7 @@ func (w *fig6) timedPhase(seconds float64, minOps int, rec *recorder, eng *engin
 			res.problem("cell %d: %v", c, err)
 			break
 		}
-		ph.createMs = append(ph.createMs, createMs)
+		ph.addCreate(create)
 	}
 	ph.wall = sinceMs(start) / 1e3
 	ph.finish(u0)
@@ -247,7 +250,7 @@ func (w *fig6) replayDigest(cells int) (string, error) {
 	var d digest
 	var firstErr error
 	for c := 0; c < cells; c++ {
-		_, err := w.runCell(c, nil, nil, func(r opResult, _ float64) {
+		_, err := w.runCell(c, nil, nil, func(r opResult, _ opCost) {
 			if r.err != nil && firstErr == nil {
 				firstErr = r.err
 			}
@@ -279,11 +282,11 @@ func runFig6(cfg runConfig) (*result, error) {
 		return err
 	}
 	var setup setupTimer
-	if err := setup.sample(3*fig6Universes, build); err != nil {
+	if err := setup.sample(3*fig6Universes, build, nil); err != nil {
 		return nil, err
 	}
 	// Warm-up: one untimed cell.
-	if _, err := w.runCell(fig6WarmCell, nil, nil, func(opResult, float64) {}); err != nil {
+	if _, err := w.runCell(fig6WarmCell, nil, nil, func(opResult, opCost) {}); err != nil {
 		return nil, fmt.Errorf("warm-up: %w", err)
 	}
 
@@ -309,7 +312,7 @@ func runFig6(cfg runConfig) (*result, error) {
 	res.note("digest (sources, quality) of the first %d operations: %s", cfg.qualityOps(), plain.prefix(cfg.qualityOps()))
 
 	if !cfg.Trace {
-		if err := setup.sample(3*fig6Universes+1, build); err != nil {
+		if err := setup.sample(3*fig6Universes+1, build, nil); err != nil {
 			return nil, err
 		}
 		plain.endToEnd(cfg, setup.median(res), heap, res)
@@ -327,7 +330,7 @@ func runFig6(cfg runConfig) (*result, error) {
 	}
 	allocMB, gcs := plain.perOp()
 	res.Metrics = layerMetrics(pr, eng, nil, nil, allocMB, gcs,
-		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
+		overheadOf(plain.costPerOp(), traced.costPerOp()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {
 		return nil, err

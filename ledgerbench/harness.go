@@ -128,17 +128,24 @@ func timed(fn func() error) (float64, error) {
 // after it.
 type setupTimer struct {
 	samples []float64
+	// refs[i] is the reference kernel run right after build i, untimed.
+	refs []float64
 }
 
-// sample times build reps times, each after collecting garbage.
-func (t *setupTimer) sample(reps int, build func() error) error {
+// sample times build reps times, each after collecting garbage; undo,
+// when non-nil, runs untimed after each build.
+func (t *setupTimer) sample(reps int, build func() error, undo func()) error {
 	for i := 0; i < reps; i++ {
 		settle()
 		s, err := timed(build)
+		if undo != nil {
+			undo()
+		}
 		if err != nil {
 			return err
 		}
 		t.samples = append(t.samples, s)
+		t.refs = append(t.refs, ref.run())
 	}
 	return nil
 }
@@ -182,11 +189,39 @@ type usage struct {
 func usageNow() usage {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	return usage{alloc: ms.TotalAlloc, gcs: ms.NumGC, cpuMs: cpuNowMs()}
+}
+
+// cpuNowMs is the user + system CPU time the whole process has used so
+// far, in ms (getrusage, nanosecond-accurate on Linux).
+func cpuNowMs() float64 {
 	var ru syscall.Rusage
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // RUSAGE_SELF cannot fail
 	var r reading
 	r.v = float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e6
-	return usage{alloc: ms.TotalAlloc, gcs: ms.NumGC, cpuMs: r.v}
+	return r.v
+}
+
+// opClock times one operation: by the wall clock, which is what the
+// caller waits, and by the process's CPU time, which is what the
+// operation costs. The CPU time is the operation's own only while the
+// process does nothing else, so every timed phase runs its operations
+// one at a time. The time the host lends a busy vCPU to other tenants
+// (steal) lands in the wall-clock figure and not in the CPU time.
+type opClock struct {
+	//ube:operational benchmark timing figure; never reaches the program under test
+	t0   time.Time
+	cpu0 float64
+}
+
+func startOp() opClock { return opClock{t0: time.Now(), cpu0: cpuNowMs()} }
+
+// opCost is one operation's wall and CPU time, in ms.
+type opCost struct{ wallMs, cpuMs float64 }
+
+func (c opClock) stop() opCost {
+	cpu := cpuNowMs()
+	return opCost{wallMs: sinceMs(c.t0), cpuMs: cpu - c.cpu0}
 }
 
 func (u usage) sub(o usage) usage {
@@ -200,13 +235,16 @@ func (u usage) add(o usage) usage {
 // phase accumulates one timed phase: per-operation latencies and the
 // qualities of the first operations in deterministic order.
 type phase struct {
-	latMs     []float64
-	createMs  []float64
-	quality   map[int]float64
-	attempted int
-	failed    int
-	wall      float64 // seconds from the first operation to the last
-	paused    float64 // seconds of untimed checking inside the phase
+	latMs []float64 // wall time per operation
+	cpuMs []float64 // process CPU time per operation
+	refMs []float64 // CPU time of the reference kernel run after each one
+	// The same for session creates.
+	createMs, createCPU, createRef []float64
+	quality                        map[int]float64
+	attempted                      int
+	failed                         int
+	wall                           float64 // seconds from the first operation to the last
+	paused                         float64 // seconds of untimed checking inside the phase
 	// used is what the timed operations consumed: the phase's usage
 	// minus that of the untimed checks inside it (pausedUse).
 	used      usage
@@ -226,6 +264,29 @@ func (p *phase) pause(check func()) {
 	p.paused += sinceMs(t0) / 1e3
 }
 
+// addOp records a completed operation and runs the reference kernel
+// after it, outside the phase's active time and usage.
+func (p *phase) addOp(c opCost) {
+	p.latMs = append(p.latMs, c.wallMs)
+	p.cpuMs = append(p.cpuMs, c.cpuMs)
+	p.refMs = append(p.refMs, p.runRef())
+}
+
+// addCreate records a session create like addOp.
+func (p *phase) addCreate(c opCost) {
+	p.createMs = append(p.createMs, c.wallMs)
+	p.createCPU = append(p.createCPU, c.cpuMs)
+	p.createRef = append(p.createRef, p.runRef())
+}
+
+func (p *phase) runRef() float64 {
+	t0 := time.Now()
+	ms := ref.run()
+	p.paused += sinceMs(t0) / 1e3
+	p.pausedUse.cpuMs += ms
+	return ms
+}
+
 // finish records the phase's usage since u0, less the paused checks'.
 func (p *phase) finish(u0 usage) {
 	p.used = usageNow().sub(u0).sub(p.pausedUse)
@@ -241,6 +302,25 @@ func (p *phase) perOp() (allocMB, gcs float64) {
 	return float64(p.used.alloc) / (1 << 20) / n, float64(p.used.gcs) / n
 }
 
+// cpuPerOp is the process CPU time of the phase per completed operation,
+// in ms.
+func (p *phase) cpuPerOp() float64 {
+	if len(p.latMs) == 0 {
+		return 0
+	}
+	return p.used.cpuMs / float64(len(p.latMs))
+}
+
+// costPerOp is cpuPerOp in reference-kernel units: the phase's CPU time
+// per operation over the median kernel run.
+func (p *phase) costPerOp() float64 {
+	r := median(p.refMs)
+	if r <= 0 {
+		return 0
+	}
+	return p.cpuPerOp() / r
+}
+
 func (p *phase) opsPerSecond() float64 {
 	active := p.wall - p.paused
 	if active <= 0 {
@@ -249,36 +329,34 @@ func (p *phase) opsPerSecond() float64 {
 	return float64(len(p.latMs)) / active
 }
 
-// endToEnd turns an untraced phase into the end-to-end metrics.
+// endToEnd turns an untraced phase into the end-to-end metrics: the
+// timings in reference-kernel units (see refkernel.go), quality, heap
+// and completion. The report prints the same timings in ms of CPU time
+// and by the wall clock beside them, ungated: the host's speed moves
+// those by more than any bound a regression gate could use.
 func (p *phase) endToEnd(cfg runConfig, setupS, heapMB float64, res *result) {
 	m := res.Metrics
 	m["setup_s"] = setupS
 	m["heap_live_mb"] = heapMB
-	m["ops_per_s"] = p.opsPerSecond()
-	if n := len(p.latMs); n > 0 {
-		m["cpu_ms_per_op"] = p.used.cpuMs / float64(n)
-	}
+	m["cost_per_op_ref"] = p.costPerOp()
 	if p.attempted > 0 {
 		m["completed_share"] = float64(p.attempted-p.failed) / float64(p.attempted)
 	}
-	beyond := 10
+	beyond, createBeyond := 10, 2
 	if cfg.Smoke {
-		beyond = 0
+		beyond, createBeyond = 0, 0
 	}
-	var err error
-	if m["latency_p50_ms"], err = quantile(p.latMs, 0.50, beyond); err != nil {
-		res.problem("latency_p50_ms: %v", err)
+	pct := func(name string, xs []float64, q float64, minBeyond int) float64 {
+		v, err := quantile(xs, q, minBeyond)
+		if err != nil {
+			res.problem("%s: %v", name, err)
+		}
+		return v
 	}
-	if m["latency_p95_ms"], err = quantile(p.latMs, 0.95, beyond); err != nil {
-		res.problem("latency_p95_ms: %v", err)
-	}
-	createBeyond := 2
-	if cfg.Smoke {
-		createBeyond = 0
-	}
-	if m["create_p50_ms"], err = quantile(p.createMs, 0.50, createBeyond); err != nil {
-		res.problem("create_p50_ms: %v", err)
-	}
+	cost := inRefUnits(p.cpuMs, p.refMs)
+	m["cost_p50_ref"] = pct("cost_p50_ref", cost, 0.50, beyond)
+	m["cost_p95_ref"] = pct("cost_p95_ref", cost, 0.95, beyond)
+	m["create_cost_p50_ref"] = pct("create_cost_p50_ref", inRefUnits(p.createCPU, p.createRef), 0.50, createBeyond)
 	n := cfg.qualityOps()
 	var qs []float64
 	for i := 0; i < n; i++ {
@@ -293,6 +371,14 @@ func (p *phase) endToEnd(cfg runConfig, setupS, heapMB float64, res *result) {
 	res.note("samples: %d operations (p95 has %d beyond it), %d creates, quality over the first %d operations",
 		len(p.latMs), int(math.Floor(0.05*float64(len(p.latMs)))), len(p.createMs), n)
 	res.note("failed_share: %d/%d; cpu: %.1f s of process CPU time over %.1f s of operations", p.failed, p.attempted, p.used.cpuMs/1e3, p.wall-p.paused)
+	res.note("reference kernel: median %.4f ms of CPU time over %d runs (min %.4f, max %.4f)",
+		median(p.refMs), len(p.refMs), minOf(p.refMs), maxOf(p.refMs))
+	res.note("CPU time (not gated): cpu_p50_ms %.4g, cpu_p95_ms %.4g, cpu_ms_per_op %.4g, create_cpu_p50_ms %.4g",
+		pct("cpu_p50_ms", p.cpuMs, 0.50, beyond), pct("cpu_p95_ms", p.cpuMs, 0.95, beyond),
+		p.cpuPerOp(), pct("create_cpu_p50_ms", p.createCPU, 0.50, createBeyond))
+	res.note("wall clock (not gated): latency_p50_ms %.4g, latency_p95_ms %.4g, ops_per_s %.4g, create_p50_ms %.4g",
+		pct("latency_p50_ms", p.latMs, 0.50, beyond), pct("latency_p95_ms", p.latMs, 0.95, beyond),
+		p.opsPerSecond(), pct("create_p50_ms", p.createMs, 0.50, createBeyond))
 }
 
 // digest folds a sequence of solutions into a short hash of their source

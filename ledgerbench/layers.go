@@ -429,11 +429,12 @@ func imbalance(perShard map[string]int) float64 {
 	return float64(most) / (float64(total) / float64(len(perShard)))
 }
 
-// overheadOf compares the traced phase's throughput with the untraced
-// phase's: 0.05 means tracing cost 5 % of throughput.
-func overheadOf(untracedOpsPerS, tracedOpsPerS float64) float64 {
-	if tracedOpsPerS <= 0 {
+// overheadOf compares the traced phase's cost per operation (CPU time in
+// reference-kernel units) with the untraced phase's: 0.05 means tracing
+// cost 5 % more CPU per operation.
+func overheadOf(untraced, traced float64) float64 {
+	if untraced <= 0 {
 		return 0
 	}
-	return untracedOpsPerS/tracedOpsPerS - 1
+	return traced/untraced - 1
 }

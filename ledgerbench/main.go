@@ -5,8 +5,8 @@
 //
 // Usage (from the repository root, through the wrapper that builds it):
 //
-//	bash ledgerbench/run.sh --workload fig6-feedback --seed 1 --seconds 25 --trace 0
-//	bash ledgerbench/run.sh --workload churn-refresh --seed 1 --seconds 25 --spread 10
+//	bash ledgerbench/run.sh --workload fig6-feedback --seed 1 --seconds 20 --trace 0
+//	bash ledgerbench/run.sh --workload churn-refresh --seed 1 --seconds 20 --spread 10
 //
 // The last line of standard output is one JSON object:
 // {"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}
@@ -52,7 +52,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "fig6-feedback, serve-sessions or churn-refresh")
 		seed     = flag.Int64("seed", 1, "workload seed: every input is a pure function of it")
-		seconds  = flag.Float64("seconds", 25, "length of the timed phase (a traced run splits it between its untraced and traced phases)")
+		seconds  = flag.Float64("seconds", 20, "length of the timed phase (a traced run splits it between its untraced and traced phases)")
 		traced   = flag.Int("trace", 0, "0: end-to-end metrics, tracing off; 1: per-layer metrics from a traced run")
 		out      = flag.String("out", ".bench_build/ledger", "directory for span files and scratch state")
 		spreadN  = flag.Int("spread", 0, "run the workload this many times, seeds seed…seed+N−1, each in a fresh process, and report each metric's median and quartile spread")

@@ -2,7 +2,7 @@
 # Builds the ledger benchmark from the checkout's sources and runs it with
 # the given arguments. Run it from the root of the repository:
 #
-#   bash ledgerbench/run.sh --workload fig6-feedback --seed 1 --seconds 25 --trace 0
+#   bash ledgerbench/run.sh --workload fig6-feedback --seed 1 --seconds 20 --trace 0
 #
 # Everything it writes (Go build cache, binary, WAL and audit scratch,
 # span files) stays under .bench_build/ in the current directory. Build

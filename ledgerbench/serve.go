@@ -28,10 +28,13 @@ import (
 	"ube/internal/trace"
 )
 
-// serve-sessions: the real request path. Two clients in a closed loop
-// talk over loopback to internal/router, in process, in front of two
+// serve-sessions: the real request path. One client in a closed loop —
+// the process's CPU time over a request is the request's own only while
+// nothing else runs, and a second client's solves would make a request's
+// latency depend on whether the two sessions share a shard — talks over
+// loopback to internal/router, in process, in front of two
 // in-process server shards; each shard has one solve worker, a WAL with
-// fsync and an audit log. Each client plays users one after another. A
+// fsync and an audit log. The client plays users one after another. A
 // user creates a session over the 700-source §7.1 catalog (a ~2 MB
 // universe JSON), runs the feedback edits with its own seed, weights and
 // θ, applies one seeded PATCH …/universe batch midway, fetches its
@@ -39,8 +42,7 @@ import (
 // (off).
 //
 // Why: the only workload that exercises router placement and proxying,
-// admission-queue wait (when both clients' sessions hash to one shard),
-// the schemaio decode and encode, WAL group commit and audit. Writes
+// the schemaio decode and encode, the WAL and audit. Writes
 // (create, PATCH, WAL records) run beside reads (solve, history), and
 // the engine work is small enough that these layers are a visible share.
 
@@ -48,16 +50,19 @@ const (
 	serveSources = 700
 	servePool    = 64
 	serveEvals   = 300
-	serveClients = 2
-	serveShards  = 2
+	// serveReplayWorkers replay users' scripts for the untimed check.
+	serveReplayWorkers = 2
+	serveShards        = 2
 	// serveSolves is the solves per user script; the PATCH comes before
 	// solve servePatchBefore.
 	serveSolves      = 8
 	servePatchBefore = 3
-	serveSetupReps   = 24 // builds timed before the phase, and again after
-	// serveSolveWorkers is each solve's evaluation fan-out (see user).
-	serveSolveWorkers = 2
+	serveSetupReps   = 8 // builds timed before the phase, and again after
+	// serveSolveWorkers is each solve's evaluation fan-out: one, for the
+	// reason fig6Workers is.
+	serveSolveWorkers = 1
 	serveWarmUser     = 1 << 30
+	serveSetupUser    = 1<<30 + 1
 	// A traced phase fetches the solve traces of every serveTraceEvery-th
 	// user, up to serveTraceUsers users.
 	serveTraceEvery = 4
@@ -274,10 +279,6 @@ func (w *serveWork) user(idx int) (*user, error) {
 	if w.cfg.Smoke {
 		p.MaxSources = 8
 	}
-	// Two evaluation workers per solve keep both CPUs busy whether the
-	// two clients' sessions share a shard (their solves queue and each
-	// runs on both CPUs) or not (they run side by side on one CPU each),
-	// so latency does not flip between two modes with the placement.
 	p.Workers = serveSolveWorkers
 	p.Theta = []float64{0.6, 0.65}[rng.Intn(2)]
 	names := make([]string, 0, len(p.Weights))
@@ -408,7 +409,7 @@ func (c *client) do(method, path string, body []byte, op int64, span int32) (int
 // solveRec is one solve as the client saw it.
 type solveRec struct {
 	key       int // user*serveSolves + step: the deterministic order
-	latMs     float64
+	cost      opCost
 	quality   float64
 	bytes     int
 	elapsedNS int64
@@ -418,14 +419,14 @@ type solveRec struct {
 
 // userRun is what one user's script produced.
 type userRun struct {
-	u        *user
-	id       string
-	createMs float64
-	create   int32 // traced create root span
-	solves   []solveRec
-	patched  bool
-	fetched  bool // history fetched
-	closed   bool // session deleted
+	u          *user
+	id         string
+	createCost opCost
+	create     int32 // traced create root span
+	solves     []solveRec
+	patched    bool
+	fetched    bool // history fetched
+	closed     bool // session deleted
 	// traceKept marks a traced phase's sampled user: its session stays
 	// open until the phase has ended, when its solve traces are fetched.
 	traceKept bool
@@ -452,9 +453,9 @@ func (c *client) play(u *user, solves int, stop stopFn, onSolve func(solveRec)) 
 	}
 	createOp := int64(-1 - u.idx)
 	root := c.rec.begin(createOp, -1, "op.create")
-	t0 := time.Now()
+	clk := startOp()
 	status, body, err := c.do(http.MethodPost, "/v1/sessions", create, createOp, root)
-	r.createMs = sinceMs(t0)
+	r.createCost = clk.stop()
 	c.rec.end(root)
 	r.create = root
 	if err == nil && status != http.StatusCreated {
@@ -489,9 +490,9 @@ func (c *client) play(u *user, solves int, stop stopFn, onSolve func(solveRec)) 
 		edit, _ := json.Marshal(u.edit(k, last)) // a plain struct: marshalling cannot fail
 		op := int64(u.idx*serveSolves + k)
 		root := c.rec.begin(op, -1, "op.solve")
-		t0 := time.Now()
+		clk := startOp()
 		status, body, err := c.do(http.MethodPost, path+"/solve", edit, op, root)
-		lat := sinceMs(t0)
+		cost := clk.stop()
 		c.rec.end(root)
 		if status == http.StatusTooManyRequests {
 			r.rejected++
@@ -511,7 +512,7 @@ func (c *client) play(u *user, solves int, stop stopFn, onSolve func(solveRec)) 
 			return r
 		}
 		last = resp.Solution.Sources
-		s := solveRec{key: u.idx*serveSolves + k, latMs: lat, quality: resp.Solution.Quality, bytes: len(body),
+		s := solveRec{key: u.idx*serveSolves + k, cost: cost, quality: resp.Solution.Quality, bytes: len(body),
 			elapsedNS: resp.Solution.ElapsedNS, root: root, op: op}
 		r.solves = append(r.solves, s)
 		onSolve(s)
@@ -668,118 +669,86 @@ type servePhase struct {
 	rejections int
 }
 
-// timedPhase runs both clients, users from 0 on, until the phase has
-// lasted seconds and holds at least minOps solves. A user the end
-// interrupts is finished untimed. A traced phase (rec non-nil) keeps the
-// sessions of a few sampled users open for closePhase to fetch their
-// solve traces from, so that its clients send the same requests as an
-// untraced phase's. The phase's usage and WAL counters are read when the
-// clients stop; then one session per client is parked, which stays open
-// for the heap reading until closePhase.
+// timedPhase runs the client through users from 0 on, one request at a
+// time, until the phase has lasted seconds and holds at least minOps
+// solves. A user the end interrupts is finished untimed. A traced phase
+// (rec non-nil) keeps the sessions of a few sampled users open for
+// closePhase to fetch their solve traces from, so that it sends the same
+// requests as an untraced phase. The phase's usage and WAL counters are
+// read when the client stops; then one session is parked, which stays
+// open for the heap reading until closePhase.
 func (w *serveWork) timedPhase(seconds float64, minOps int, rec *recorder, res *result) (*servePhase, error) {
-	f := w.fleet
 	before, err := w.walSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	ph := &servePhase{phase: newPhase()}
-	var (
-		mu      sync.Mutex
-		next    atomic.Int64
-		solves  atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-		lastEnd float64 // seconds from start to the last operation's end
-	)
+	c := w.newClient(w.fleet.base, rec)
+	defer c.http.CloseIdleConnections()
 	settle()
 	u0 := usageNow()
 	start := time.Now()
 	stop := func() bool {
-		if stopped.Load() {
-			return true
-		}
-		if time.Since(start).Seconds() >= seconds && solves.Load() >= int64(minOps) {
-			stopped.Store(true)
-		}
-		return stopped.Load()
+		return time.Since(start).Seconds() >= seconds && ph.solves >= minOps
 	}
-	for i := 0; i < serveClients; i++ {
-		c := w.newClient(f.base, rec)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.http.CloseIdleConnections()
-			for !stop() {
-				u, err := w.user(int(next.Add(1) - 1))
-				if err != nil {
-					mu.Lock()
-					res.problem("user script: %v", err)
-					mu.Unlock()
-					stopped.Store(true)
-					return
-				}
-				// The users whose solves quality_mean averages always finish
-				// their scripts, so the phase's end cannot leave a gap in them.
-				userStop := stop
-				if u.idx*serveSolves < w.cfg.qualityOps() {
-					userStop = func() bool { return false }
-				}
-				r := c.play(u, serveSolves, userStop, func(s solveRec) {
-					solves.Add(1)
-					mu.Lock()
-					ph.latMs = append(ph.latMs, s.latMs)
-					ph.respB = append(ph.respB, float64(s.bytes))
-					ph.quality[s.key] = s.quality
-					ph.attempted++
-					mu.Unlock()
-				})
-				r.traceKept = rec != nil && u.idx%serveTraceEvery == 0 && u.idx < serveTraceEvery*serveTraceUsers
-				mu.Lock()
-				ph.runs = append(ph.runs, r)
-				if r.id != "" {
-					ph.createMs = append(ph.createMs, r.createMs)
-				}
-				if r.failed != nil {
-					ph.attempted++
-					ph.failed++
-					res.problem("user %d: %v", u.idx, r.failed)
-				}
-				ph.rejections += r.rejected
-				lastEnd = max(lastEnd, sinceMs(start)/1e3)
-				mu.Unlock()
-				c.fetchHistory(r, rec != nil)
-				if !r.traceKept && r.failed == nil {
-					c.close(r, nil)
-				}
-			}
-		}()
+	idx := 0
+	for ; !stop(); idx++ {
+		u, err := w.user(idx)
+		if err != nil {
+			res.problem("user script: %v", err)
+			break
+		}
+		// The users whose solves quality_mean averages always finish
+		// their scripts, so the phase's end cannot leave a gap in them.
+		userStop := stop
+		if u.idx*serveSolves < w.cfg.qualityOps() {
+			userStop = func() bool { return false }
+		}
+		r := c.play(u, serveSolves, userStop, func(s solveRec) {
+			ph.solves++
+			ph.attempted++
+			ph.addOp(s.cost)
+			ph.respB = append(ph.respB, float64(s.bytes))
+			ph.quality[s.key] = s.quality
+		})
+		r.traceKept = rec != nil && u.idx%serveTraceEvery == 0 && u.idx < serveTraceEvery*serveTraceUsers
+		ph.runs = append(ph.runs, r)
+		if r.id != "" {
+			ph.addCreate(r.createCost)
+		}
+		if r.failed != nil {
+			ph.attempted++
+			ph.failed++
+			res.problem("user %d: %v", u.idx, r.failed)
+		}
+		ph.rejections += r.rejected
+		ph.wall = sinceMs(start) / 1e3
+		c.fetchHistory(r, rec != nil)
+		if !r.traceKept && r.failed == nil {
+			c.close(r, nil)
+		}
 	}
-	wg.Wait()
-	ph.wall = lastEnd
 	ph.finish(u0)
-	ph.solves = int(solves.Load())
 	after, err := w.walSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	ph.walDelta = after.sub(before)
 
-	// The heap reading must not depend on where in their scripts the
-	// phase's end caught the users (each θ a session has solved at keeps
-	// its own caches), so every client parks one session at the same
-	// point — created and solved once, untimed and untraced.
-	c := w.newClient(f.base, nil)
-	defer c.http.CloseIdleConnections()
-	for i := 0; i < serveClients; i++ {
-		u, err := w.user(int(next.Add(1) - 1))
-		if err != nil {
-			return nil, err
-		}
-		r := c.play(u, 1, func() bool { return false }, func(solveRec) {})
-		ph.runs = append(ph.runs, r)
-		if r.failed != nil {
-			res.problem("user %d: %v", u.idx, r.failed)
-		}
+	// The heap reading must not depend on where in its script the
+	// phase's end caught the last user (each θ a session has solved at
+	// keeps its own caches), so one session is parked at a fixed point —
+	// created and solved once, untimed and untraced.
+	pc := w.newClient(w.fleet.base, nil)
+	defer pc.http.CloseIdleConnections()
+	u, err := w.user(idx)
+	if err != nil {
+		return nil, err
+	}
+	r := pc.play(u, 1, func() bool { return false }, func(solveRec) {})
+	ph.runs = append(ph.runs, r)
+	if r.failed != nil {
+		res.problem("user %d: %v", u.idx, r.failed)
 	}
 	return ph, nil
 }
@@ -825,7 +794,7 @@ func (w *serveWork) check(runs []*userRun, res *result, applyMs *[]float64) {
 	jobs := make(chan *userRun)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i := 0; i < serveClients; i++ {
+	for i := 0; i < serveReplayWorkers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -907,28 +876,43 @@ func runServe(cfg runConfig) (*result, error) {
 	w.shardOps = map[string]int{}
 	res := &result{Metrics: map[string]float64{}}
 
-	// Each build brings up a fresh fleet and tears the previous one down;
-	// the last build before the phase is the fleet the phase runs on.
-	rep := 0
-	var spare *fleet
-	build := func() error {
-		if spare != nil {
-			spare.tearDown()
-			spare = nil
-		}
-		rep++
-		f, err := w.bringUp("fleet" + strconv.Itoa(rep))
-		spare = f
-		return err
-	}
-	var setup setupTimer
-	if err := setup.sample(serveSetupReps, build); err != nil {
-		if spare != nil {
-			spare.tearDown()
-		}
+	// Each build brings up a fresh fleet and creates the first session on
+	// it: everything the first solve waits for. The bring-up alone takes a
+	// few ms, most of it the WAL's fsyncs, and the shared disk's latency
+	// doubled between sets of runs with no change to the code; the
+	// create's catalog decode and engine.New put the figure on CPU work.
+	// Every fleet built for timing is torn down untimed, and the phase
+	// runs on a fleet of its own.
+	setupUser, err := w.user(serveSetupUser)
+	if err != nil {
 		return nil, err
 	}
-	w.fleet, spare = spare, nil
+	rep := 0
+	var built *fleet
+	build := func() error {
+		rep++
+		f, err := w.bringUp("fleet" + strconv.Itoa(rep))
+		if err != nil {
+			return err
+		}
+		built = f
+		c := w.newClient(f.base, nil)
+		defer c.http.CloseIdleConnections()
+		return c.play(setupUser, 0, func() bool { return false }, func(solveRec) {}).failed
+	}
+	undo := func() {
+		if built != nil {
+			built.tearDown()
+			built = nil
+		}
+	}
+	var setup setupTimer
+	if err := setup.sample(serveSetupReps, build, undo); err != nil {
+		return nil, err
+	}
+	if w.fleet, err = w.bringUp("phase"); err != nil {
+		return nil, err
+	}
 	defer func() { w.fleet.tearDown() }()
 
 	// Warm-up: one user's whole script, untimed.
@@ -961,11 +945,7 @@ func runServe(cfg runConfig) (*result, error) {
 
 	if !cfg.Trace {
 		w.reconcile(res)
-		err := setup.sample(serveSetupReps, build)
-		if spare != nil {
-			spare.tearDown()
-		}
-		if err != nil {
+		if err := setup.sample(serveSetupReps, build, undo); err != nil {
 			return nil, err
 		}
 		plain.endToEnd(cfg, setup.median(res), heap, res)
@@ -994,7 +974,7 @@ func runServe(cfg runConfig) (*result, error) {
 	}
 	allocMB, gcs := plain.perOp()
 	res.Metrics = layerMetrics(pr, eng, applyMs, sl, allocMB, gcs,
-		overheadOf(plain.opsPerSecond(), traced.opsPerSecond()))
+		overheadOf(plain.costPerOp(), traced.costPerOp()))
 	res.Layers = aggregate(rec.snapshot(), len(traced.latMs))
 	if err := finishSpans(cfg, rec, res); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -99,4 +100,18 @@ func share(part, whole float64, minWhole float64) (float64, error) {
 		return 0, fmt.Errorf("share over %.0f events, need at least %.0f", whole, minWhole)
 	}
 	return part / whole, nil
+}
+
+func minOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return slices.Min(xs)
+}
+
+func maxOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return slices.Max(xs)
 }

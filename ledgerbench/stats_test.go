@@ -61,3 +61,39 @@ func TestShareGuard(t *testing.T) {
 		t.Fatalf("share(3, 12) = %v, %v", got, err)
 	}
 }
+
+func TestInRefUnits(t *testing.T) {
+	// Each operation is divided by the median kernel run within
+	// refWindow of it: early operations see only the fast runs, late ones
+	// only the slow runs.
+	n := 4 * refWindow
+	cpu := make([]float64, n)
+	refs := make([]float64, n)
+	for i := range cpu {
+		cpu[i] = 12
+		refs[i] = 2
+		if i >= n/2 {
+			refs[i] = 3
+		}
+	}
+	refs[1] = 100 // one run caught by an interrupt does not move its neighbours
+	got := inRefUnits(cpu, refs)
+	if got[0] != 6 || got[2] != 6 || got[n-1] != 4 {
+		t.Fatalf("cost of first, third and last operation = %v, %v, %v; want 6, 6, 4", got[0], got[2], got[n-1])
+	}
+}
+
+func TestRefKernelIsFixedAndAllocationFree(t *testing.T) {
+	k := newRefKernel()
+	if allocs := testing.AllocsPerRun(3, func() { k.run() }); allocs != 0 {
+		t.Fatalf("reference kernel allocates %v times per run", allocs)
+	}
+	other := newRefKernel()
+	other.run()
+	if other.sink != k.sink {
+		t.Fatalf("two kernels did different work: checksums %d and %d", k.sink, other.sink)
+	}
+	if ms := k.run(); ms <= 0 {
+		t.Fatalf("kernel run took %v ms of CPU time", ms)
+	}
+}
