@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"ube/internal/model"
@@ -38,6 +39,55 @@ func BenchmarkEngineNew10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := New(clones[i%len(clones)], WithSparseScores()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDenseChurnRefresh is one churn-refresh operation on the
+// default dense path: a batch of two adds from a held-out pool, two
+// removes and two cardinality updates on a 600-source
+// synth.GenerateLarge universe (about 360 names), then the session's
+// warm re-solve at m = 20 with 100 evaluations.
+func BenchmarkDenseChurnRefresh(b *testing.B) {
+	lc := synth.DefaultLargeConfig(1000)
+	lc.Concepts, lc.ZipfS = 96, 1.01
+	all, _, err := synth.GenerateLarge(lc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(&model.Universe{Sources: append([]model.Source(nil), all.Sources[:600]...)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := all.Sources[600:]
+	p := DefaultProblem()
+	p.MaxSources, p.MaxEvals = 20, 100
+	s := NewSession(e, p)
+	if _, err := s.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var muts []Mutation
+		for k := 0; k < 2; k++ {
+			src := pool[(2*i+k)%len(pool)]
+			src.Attributes = append([]string(nil), src.Attributes...)
+			muts = append(muts, Mutation{Op: OpAdd, Source: src})
+		}
+		n := e.Universe().N() + 2
+		for k := 0; k < 2; k++ {
+			muts = append(muts, Mutation{Op: OpRemove, ID: rng.Intn(n - k)})
+		}
+		for k := 0; k < 2; k++ {
+			card := int64(1_000 + rng.Intn(19_000))
+			muts = append(muts, Mutation{Op: OpUpdate, ID: rng.Intn(n - 2), Cardinality: &card})
+		}
+		if _, err := s.ApplyChurn(muts); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}

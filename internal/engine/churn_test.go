@@ -280,6 +280,78 @@ func TestChurnDifferentialDense(t *testing.T) {
 	}
 }
 
+// TestChurnDenseMatrixGrowsByNewNames pins how churn maintains the dense
+// matrix, on TestChurnDifferentialDense's schedule: a batch that interns
+// no new name keeps the very same matrix (no rebuild), and a batch that
+// interns new names grows it by exactly their count. Either way the
+// session's warm-started re-solve must be bit-identical to a from-scratch
+// solve of the same input on a fresh dense engine.
+func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
+	const seed = 11
+	cfg := synth.QuickConfig(25)
+	steps := 30
+	if testing.Short() {
+		steps = 10
+	}
+	base, batches, err := synth.ChurnSchedule(cfg, synth.ChurnConfig{Seed: seed, Steps: steps, MinSources: 10, MaxSources: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(cloneUniverse(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(e, smallProblem())
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	oracle := cloneUniverse(base)
+	var kept, grown int
+	for bi, batch := range batches {
+		prev, vocab := e.matrix, e.sim.Len()
+		if _, err := s.ApplyChurn(batch); err != nil {
+			t.Fatalf("seed %d batch %d: session ApplyChurn: %v", seed, bi, err)
+		}
+		oracle = applyOracle(t, oracle, batch)
+		input := s.SolveInput()
+		ref, err := New(cloneUniverse(oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Solve(&input)
+		if err != nil {
+			t.Fatalf("seed %d batch %d: from-scratch solve: %v", seed, bi, err)
+		}
+		got, err := s.Solve()
+		if err != nil {
+			t.Fatalf("seed %d batch %d: warm re-solve: %v", seed, bi, err)
+		}
+		if !reflect.DeepEqual(canonSolution(got), canonSolution(want)) {
+			t.Fatalf("seed %d batch %d: warm-started dense re-solve diverged from from-scratch solve:\n got %+v\nwant %+v",
+				seed, bi, canonSolution(got), canonSolution(want))
+		}
+		switch added := e.sim.Len() - vocab; {
+		case e.matrix == nil:
+			t.Fatalf("seed %d batch %d: dense engine lost its matrix", seed, bi)
+		case added == 0:
+			kept++
+			if e.matrix != prev {
+				t.Fatalf("seed %d batch %d: a batch that interned no new name rebuilt the matrix", seed, bi)
+			}
+		default:
+			grown++
+			if e.matrix.Len() != prev.Len()+added || e.matrix.Len() != e.sim.Len() {
+				t.Fatalf("seed %d batch %d: %d new names grew the matrix from %d to %d names (vocabulary %d)",
+					seed, bi, added, prev.Len(), e.matrix.Len(), e.sim.Len())
+			}
+		}
+	}
+	if kept == 0 || grown == 0 {
+		t.Fatalf("schedule exercised %d kept and %d grown matrices, want both", kept, grown)
+	}
+	t.Logf("%d batches kept the matrix, %d grew it", kept, grown)
+}
+
 // TestChurnWarmResolveMatchesFresh: after each churn batch, a session's
 // warm-started re-solve must be bit-identical to a from-scratch solve of
 // the exact SolveInput snapshot on a fresh engine over the mutated

@@ -167,7 +167,7 @@ type Engine struct {
 	// Churn state (see churn.go), nil/false until the first ApplyChurn
 	// so never-churned engines keep the exact pre-churn paths and costs.
 	// churned switches sparse() from batch builds to the dynamic per-θ
-	// indexes; matrixDirty marks the dense matrix for lazy rebuild.
+	// indexes; matrixDirty marks the dense matrix for lazy growth.
 	churned     bool
 	matrixDirty bool
 	// dynByTheta holds the incrementally maintained blocking index per
@@ -654,19 +654,20 @@ func (e *Engine) scoresFor(theta float64, st *trace.Stats) (strsim.Scorer, [][]i
 	return sp, e.neighbors(theta)
 }
 
-// refreshMatrix lazily rebuilds (or drops) the dense similarity matrix
-// after churn mutated the vocabulary: one rebuild per churn burst, paid
-// by the first solve, with pair scores recalled from the lazy cache's
-// memo. A vocabulary grown past matrixLimit demotes the engine to the
-// θ-sparse path permanently — the path choice is sticky, matching the
-// construction-time rule.
+// refreshMatrix lazily grows (or drops) the dense similarity matrix
+// after churn mutated the vocabulary, once per churn burst, paid by the
+// first solve. Intern IDs are append-only, so the matrix only gains the
+// rows and columns of names interned since it was built; a burst that
+// interned no new name keeps the same matrix. A vocabulary grown past
+// matrixLimit demotes the engine to the θ-sparse path permanently — the
+// path choice is sticky, matching the construction-time rule.
 func (e *Engine) refreshMatrix() {
 	if !e.matrixDirty {
 		return
 	}
 	e.matrixDirty = false
 	if e.sim.Len() <= matrixLimit {
-		if m, err := e.sim.BuildMatrix(); err == nil {
+		if m, err := e.sim.ExtendMatrix(e.matrix); err == nil {
 			e.matrix = m
 			e.scores = m
 			return

@@ -37,6 +37,7 @@ package strsim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -116,31 +117,77 @@ type gramIndex struct {
 	grams []string  // gram ID -> gram string, canonical order
 }
 
+// gramVocab interns character n-grams into dense int32 IDs in
+// first-seen order. It is the one gram-set builder behind the dense
+// matrix kernel, the blocking index and the dynamic index.
+type gramVocab struct {
+	n     int
+	ids   map[string]int32
+	grams []string // gram ID -> gram string
+	cuts  []int    // scratch: byte offsets of a name's rune boundaries
+}
+
+// newGramVocab grams names into n-grams; n ≤ 0 means 3, as in NGrams, so
+// a zero-value NGramJaccard or NGramDice grams like its Score does.
+func newGramVocab(n int) *gramVocab {
+	if n <= 0 {
+		n = 3
+	}
+	return &gramVocab{n: n, ids: make(map[string]int32)}
+}
+
+// set returns the n-gram set of a normalized name — the set
+// NGrams(name, n) holds — as ascending gram IDs, interning grams it has
+// not seen. Grams are sliced out of name by rune boundaries, which on the
+// valid UTF-8 Normalize produces are exactly NGrams' rune-slice grams.
+func (v *gramVocab) set(name string) []int32 {
+	if name == "" {
+		return nil
+	}
+	v.cuts = v.cuts[:0]
+	for i := range name {
+		v.cuts = append(v.cuts, i)
+	}
+	runes := len(v.cuts)
+	v.cuts = append(v.cuts, len(name))
+	if runes < v.n {
+		return []int32{v.id(name)}
+	}
+	set := make([]int32, 0, runes-v.n+1)
+	for i := 0; i+v.n <= runes; i++ {
+		set = append(set, v.id(name[v.cuts[i]:v.cuts[i+v.n]]))
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// id interns one gram string.
+func (v *gramVocab) id(g string) int32 {
+	if id, ok := v.ids[g]; ok {
+		return id
+	}
+	id := int32(len(v.grams))
+	v.ids[g] = id
+	v.grams = append(v.grams, g)
+	return id
+}
+
 // buildGramIndex grams every name and interns the gram vocabulary in
 // canonical order: ascending document frequency, ties broken by the
 // gram string. Rarest-first ordering makes prefix probes hit the
 // shortest postings, and the order is a pure function of the name set.
 func buildGramIndex(names []string, gramN int) *gramIndex {
-	ids := make(map[string]int32)
-	var gramStrs []string
-	var df []int32
+	v := newGramVocab(gramN)
 	sets := make([][]int32, len(names))
 	for i, name := range names {
-		gs := NGrams(name, gramN)
-		lst := make([]int32, 0, len(gs))
-		//ube:nondeterministic-ok provisional IDs are re-ranked canonically (df asc, gram asc) below
-		for g := range gs {
-			id, ok := ids[g]
-			if !ok {
-				id = int32(len(gramStrs))
-				ids[g] = id
-				gramStrs = append(gramStrs, g)
-				df = append(df, 0)
-			}
-			df[id]++
-			lst = append(lst, id)
+		sets[i] = v.set(name)
+	}
+	gramStrs := v.grams
+	df := make([]int32, len(gramStrs))
+	for _, set := range sets {
+		for _, g := range set {
+			df[g]++
 		}
-		sets[i] = lst
 	}
 	order := make([]int32, len(gramStrs))
 	for i := range order {
@@ -164,7 +211,7 @@ func buildGramIndex(names []string, gramN int) *gramIndex {
 		for k, g := range lst {
 			lst[k] = rank[g]
 		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
+		slices.Sort(lst)
 		for _, g := range lst {
 			// Name IDs ascend naturally: names are processed in order.
 			post[g] = append(post[g], int32(i))

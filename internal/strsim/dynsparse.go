@@ -37,15 +37,14 @@ type DynSparse struct {
 	cache *Cache
 	theta float64
 	cfg   BlockConfig
-	gramN int
 	dice  bool
+	coef  func(la, lb, inter int) float64
 
-	gramIDs map[string]int32        // own gram interning (IDs are arbitrary but stable)
-	grams   []string                // gram ID -> gram string
-	sets    map[int32][]int32       // live name ID -> ascending gram IDs
-	post    map[int32][]int32       // gram ID -> ascending live name IDs
-	rows    map[int32][]sparseEntry // live name ID -> θ-neighbors (self excluded), ascending
-	stats   BlockStats
+	grams *gramVocab              // own gram interning (IDs are arbitrary but stable)
+	sets  map[int32][]int32       // live name ID -> ascending gram IDs
+	post  map[int32][]int32       // gram ID -> ascending live name IDs
+	rows  map[int32][]sparseEntry // live name ID -> θ-neighbors (self excluded), ascending
+	stats BlockStats
 
 	// MinHash mode only.
 	salts   []uint64
@@ -61,25 +60,26 @@ func NewDynSparse(c *Cache, theta float64, cfg BlockConfig) (*DynSparse, error) 
 	}
 	var gramN int
 	var dice bool
+	coef := jaccardCoef
 	switch meas := c.measure.(type) {
 	case *NGramJaccard:
 		gramN = meas.n
 	case *NGramDice:
-		gramN, dice = meas.n, true
+		gramN, dice, coef = meas.n, true, diceCoef
 	default:
 		return nil, fmt.Errorf("%w (have %s)", ErrUnsupportedMeasure, c.measure.Name())
 	}
 	cfg = cfg.withDefaults()
 	d := &DynSparse{
-		cache:   c,
-		theta:   theta,
-		cfg:     cfg,
-		gramN:   gramN,
-		dice:    dice,
-		gramIDs: make(map[string]int32),
-		sets:    make(map[int32][]int32),
-		post:    make(map[int32][]int32),
-		rows:    make(map[int32][]sparseEntry),
+		cache: c,
+		theta: theta,
+		cfg:   cfg,
+		dice:  dice,
+		coef:  coef,
+		grams: newGramVocab(gramN),
+		sets:  make(map[int32][]int32),
+		post:  make(map[int32][]int32),
+		rows:  make(map[int32][]sparseEntry),
 	}
 	switch cfg.Mode {
 	case BlockPrefix:
@@ -118,17 +118,6 @@ func (d *DynSparse) Contains(id int) bool {
 // so far (candidates surfaced and pruned; probes = non-empty inserts).
 func (d *DynSparse) Stats() BlockStats { return d.stats }
 
-// gramID interns one gram string in the index's private gram space.
-func (d *DynSparse) gramID(g string) int32 {
-	if id, ok := d.gramIDs[g]; ok {
-		return id
-	}
-	id := int32(len(d.grams))
-	d.gramIDs[g] = id
-	d.grams = append(d.grams, g)
-	return id
-}
-
 // Insert makes one interned name live, discovering and verifying its
 // θ-neighbors among the names already live. Inserting an ID that is
 // already live, or one the cache never interned, is an error.
@@ -140,13 +129,7 @@ func (d *DynSparse) Insert(id int) error {
 	if _, ok := d.sets[a]; ok {
 		return fmt.Errorf("strsim: DynSparse.Insert of already-live name ID %d", id)
 	}
-	gs := NGrams(d.cache.NameOf(id), d.gramN)
-	set := make([]int32, 0, len(gs))
-	//ube:nondeterministic-ok gram IDs are private labels; the set is sorted below and all downstream folds are order-free
-	for g := range gs {
-		set = append(set, d.gramID(g))
-	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+	set := d.grams.set(d.cache.NameOf(id))
 
 	// Candidate discovery. Both modes collect into a dedup set, then the
 	// candidates are sorted so verification order (and hence row memory
@@ -176,9 +159,8 @@ func (d *DynSparse) Insert(id int) error {
 			for i := range sig {
 				sig[i] = math.MaxUint64
 			}
-			//ube:nondeterministic-ok the signature is a per-lane min over gram hashes, order-free
-			for g := range gs {
-				h := fnv64a(g)
+			for _, g := range set {
+				h := fnv64a(d.grams.grams[g])
 				for i, salt := range d.salts {
 					if v := splitmix64(h ^ salt); v < sig[i] {
 						sig[i] = v
@@ -210,13 +192,7 @@ func (d *DynSparse) Insert(id int) error {
 			d.stats.Pruned++
 			continue
 		}
-		inter := interSize(set, sb)
-		var s float64
-		if d.dice {
-			s = 2 * float64(inter) / float64(len(set)+len(sb))
-		} else {
-			s = float64(inter) / float64(len(set)+len(sb)-inter)
-		}
+		s := d.coef(len(set), len(sb), interSize(set, sb))
 		if float64(float32(s)) >= d.theta {
 			d.rows[a] = insertEntry(d.rows[a], sparseEntry{id: b, score: float32(s)})
 			d.rows[b] = insertEntry(d.rows[b], sparseEntry{id: a, score: float32(s)})

@@ -1,6 +1,11 @@
 package strsim
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // FuzzNormalize checks that normalization is idempotent and produces only
 // lowercase alphanumerics and single spaces.
@@ -120,6 +125,76 @@ func FuzzBlockingCandidates(f *testing.F) {
 						t.Fatalf("%s θ=%v: index missed ≥θ pair %q/%q (score %v)",
 							m.Name(), theta, cache.NameOf(p[0]), cache.NameOf(p[1]),
 							cache.Score(p[0], p[1]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzMatrixExtend checks that growing a matrix is the same as building
+// it whole: an arbitrary '|'-separated vocabulary is interned in two
+// batches split at cut, and ExtendMatrix over the first batch's matrix
+// must be bit-equal to BuildMatrix over all of it, and every off-diagonal
+// cell bit-equal to float32(Measure.Score) of the pair. The n-gram
+// measures, a zero-value one among them, cover the gram-ID kernel (names
+// shorter than n, names that normalize to "", duplicate normalized
+// forms); Levenshtein ratio covers the Measure.Score fallback.
+func FuzzMatrixExtend(f *testing.F) {
+	f.Add("title|book title|author|isbn", uint8(2))
+	f.Add("id|by|x||  |ID|By_|title", uint8(3))
+	f.Add("Author Name|author_name|author-name|AUTHOR NAME", uint8(1))
+	f.Add("Prénom|prenom|名前|名前の読み|__|--", uint8(4))
+	f.Add("aaaa|aaa|aa|a", uint8(0))
+	f.Add("publication date|date of publication|pub date", uint8(9))
+	measures := []Measure{NewNGramJaccard(3), NewNGramDice(3), NewNGramJaccard(2), &NGramDice{}, LevenshteinRatio{}}
+	f.Fuzz(func(t *testing.T, vocab string, cut uint8) {
+		names := strings.Split(vocab, "|")
+		if len(names) > 64 {
+			names = names[:64]
+		}
+		k := int(cut) % (len(names) + 1)
+		for _, meas := range measures {
+			grown := NewCache(meas)
+			for _, name := range names[:k] {
+				grown.Intern(name)
+			}
+			first := mustMatrix(grown)
+			if same, err := grown.ExtendMatrix(first); err != nil || same != first {
+				t.Fatalf("%s: ExtendMatrix with no new names = (%p, %v), want the same matrix %p", meas.Name(), same, err, first)
+			}
+			before := append([]float32(nil), first.vals...)
+			for _, name := range names[k:] {
+				grown.Intern(name)
+			}
+			m, err := grown.ExtendMatrix(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(first.vals, before) {
+				t.Fatalf("%s: ExtendMatrix modified the matrix it grew", meas.Name())
+			}
+			whole := NewCache(meas)
+			for _, name := range names {
+				whole.Intern(name)
+			}
+			want := mustMatrix(whole)
+			if m.Len() != grown.Len() || want.Len() != m.Len() {
+				t.Fatalf("%s: grown matrix covers %d names, whole %d, cache %d", meas.Name(), m.Len(), want.Len(), grown.Len())
+			}
+			for a := 0; a < m.Len(); a++ {
+				for b := 0; b < m.Len(); b++ {
+					got := math.Float32bits(float32(m.Score(a, b)))
+					if w := math.Float32bits(float32(want.Score(a, b))); got != w {
+						t.Fatalf("%s: cell (%d,%d) grown %v, whole %v", meas.Name(), a, b, m.Score(a, b), want.Score(a, b))
+					}
+					ref := float32(1)
+					if a != b {
+						ref = float32(meas.Score(grown.NameOf(a), grown.NameOf(b)))
+					}
+					if got != math.Float32bits(ref) {
+						t.Fatalf("%s: cell (%d,%d) = %v for (%q,%q), Measure.Score says %v",
+							meas.Name(), a, b, m.Score(a, b), grown.NameOf(a), grown.NameOf(b), ref)
 					}
 				}
 			}

@@ -45,47 +45,75 @@ type Matrix struct {
 // BuildMatrix computes the full similarity matrix over every name interned
 // so far. Names interned after the build are unknown to the matrix and
 // make Score panic, so callers must intern the complete vocabulary first —
-// the engine interns every attribute name of the universe before building.
-// Vocabularies beyond MaxMatrixNames are refused (the n² table would be
-// multi-GiB); use BuildSparse for those.
-func (c *Cache) BuildMatrix() (*Matrix, error) {
+// the engine interns every attribute name of the universe before building
+// — or grow the matrix with ExtendMatrix. Vocabularies beyond
+// MaxMatrixNames are refused (the n² table would be multi-GiB); use
+// BuildSparse for those.
+func (c *Cache) BuildMatrix() (*Matrix, error) { return c.ExtendMatrix(nil) }
+
+// ExtendMatrix grows prev, a matrix this cache built earlier, to cover
+// every name interned since. Intern IDs are append-only and a pair's
+// score depends only on its two names, so prev's n₀×n₀ block is copied
+// and only the pairs involving a newer name are scored. It returns prev
+// itself when no name was interned since; prev is never modified. A nil
+// prev builds the whole matrix.
+func (c *Cache) ExtendMatrix(prev *Matrix) (*Matrix, error) {
 	c.mu.RLock()
 	names := append([]string(nil), c.names...)
 	c.mu.RUnlock()
-	n := len(names)
-	if n > MaxMatrixNames {
+	n, n0 := len(names), 0
+	if prev != nil {
+		n0 = prev.n
+	}
+	switch {
+	case n0 > n:
+		return nil, fmt.Errorf("strsim: ExtendMatrix of a %d-name matrix over a %d-name cache (the matrix was built by another cache)", n0, n)
+	case prev != nil && n0 == n:
+		return prev, nil
+	case n > MaxMatrixNames:
 		return nil, fmt.Errorf("strsim: BuildMatrix over %d names exceeds the %d-name limit (the dense table would need %d MiB); use BuildSparse", n, MaxMatrixNames, 4*int64(n)*int64(n)>>20)
 	}
 	m := &Matrix{n: n, vals: make([]float32, n*n)}
-
-	// Precompute gram sets once per name when the measure is gram-based;
-	// other measures fall back to direct scoring.
-	score := func(i, j int) float64 { return c.measure.Score(names[i], names[j]) }
-	var gramN int
-	var setScore func(a, b map[string]struct{}) float64
-	switch meas := c.measure.(type) {
-	case *NGramJaccard:
-		gramN, setScore = meas.n, Jaccard[string]
-	case *NGramDice:
-		gramN, setScore = meas.n, Dice[string]
+	for i := 0; i < n0; i++ {
+		copy(m.vals[i*n:i*n+n0], prev.vals[i*n0:(i+1)*n0])
 	}
-	if setScore != nil {
-		grams := make([]map[string]struct{}, n)
-		for i, name := range names {
-			grams[i] = NGrams(name, gramN)
-		}
-		score = func(i, j int) float64 { return setScore(grams[i], grams[j]) }
-	}
-
-	for i := 0; i < n; i++ {
-		m.vals[i*n+i] = 1
-		for j := i + 1; j < n; j++ {
+	score := c.pairScorer(names)
+	for j := n0; j < n; j++ {
+		m.vals[j*n+j] = 1
+		for i := 0; i < j; i++ {
 			s := float32(score(i, j))
 			m.vals[i*n+j] = s
 			m.vals[j*n+i] = s
 		}
 	}
 	return m, nil
+}
+
+// pairScorer returns the function ExtendMatrix scores the pair of names
+// i < j with. The n-gram measures intersect sorted gram-ID sets with the
+// same integer counts and float expressions as Jaccard and Dice, so every
+// score is bit-identical to Measure.Score; other measures score the names
+// directly.
+func (c *Cache) pairScorer(names []string) func(i, j int) float64 {
+	var gramN int
+	var coef func(la, lb, inter int) float64
+	switch meas := c.measure.(type) {
+	case *NGramJaccard:
+		gramN, coef = meas.n, jaccardCoef
+	case *NGramDice:
+		gramN, coef = meas.n, diceCoef
+	default:
+		return func(i, j int) float64 { return c.measure.Score(names[i], names[j]) }
+	}
+	v := newGramVocab(gramN)
+	sets := make([][]int32, len(names))
+	for i, name := range names {
+		sets[i] = v.set(name)
+	}
+	return func(i, j int) float64 {
+		a, b := sets[i], sets[j]
+		return coef(len(a), len(b), interSize(a, b))
+	}
 }
 
 // float32Exact marks Matrix as a Table: it stores every score as
@@ -99,7 +127,7 @@ func (m *Matrix) Len() int { return m.n }
 // matrix was built.
 func (m *Matrix) Score(a, b int) float64 {
 	if a >= m.n || b >= m.n || a < 0 || b < 0 {
-		panic("strsim: Matrix.Score on a name interned after BuildMatrix")
+		panic("strsim: Matrix.Score on a name interned after the matrix was built")
 	}
 	return float64(m.vals[a*m.n+b])
 }

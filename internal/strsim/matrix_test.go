@@ -1,6 +1,10 @@
 package strsim
 
-import "testing"
+import (
+	"testing"
+
+	"ube/internal/synth"
+)
 
 // mustMatrix builds the dense matrix for a test vocabulary, panicking on
 // the (impossible at test sizes) over-limit error.
@@ -86,4 +90,41 @@ func TestMatrixScorePanicsOnLateIntern(t *testing.T) {
 		}
 	}()
 	m.Score(0, late)
+}
+
+func TestExtendMatrixRefusesForeignMatrix(t *testing.T) {
+	big, small := NewCache(nil), NewCache(nil)
+	for _, n := range []string{"title", "author", "isbn"} {
+		big.Intern(n)
+	}
+	small.Intern("title")
+	if m, err := small.ExtendMatrix(mustMatrix(big)); err == nil {
+		t.Fatalf("growing a 3-name matrix over a 1-name cache returned %d names, want an error", m.Len())
+	}
+}
+
+// matrixSink keeps benchmarked builds live.
+var matrixSink *Matrix
+
+// BenchmarkBuildMatrix builds the dense matrix over the vocabulary of a
+// 600-source synth.GenerateLarge universe with 96 concepts under a nearly
+// flat popularity curve (about 360 names).
+func BenchmarkBuildMatrix(b *testing.B) {
+	lc := synth.DefaultLargeConfig(600)
+	lc.Concepts, lc.ZipfS = 96, 1.01
+	u, _, err := synth.GenerateLarge(lc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCache(nil)
+	for _, s := range u.Sources {
+		for _, name := range s.Attributes {
+			c.Intern(name)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matrixSink = mustMatrix(c)
+	}
+	b.ReportMetric(float64(c.Len()), "names")
 }

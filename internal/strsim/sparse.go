@@ -44,11 +44,12 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 	}
 	var gramN int
 	var dice bool
+	coef := jaccardCoef
 	switch meas := c.measure.(type) {
 	case *NGramJaccard:
 		gramN = meas.n
 	case *NGramDice:
-		gramN, dice = meas.n, true
+		gramN, dice, coef = meas.n, true, diceCoef
 	default:
 		return nil, stats, fmt.Errorf("%w (have %s)", ErrUnsupportedMeasure, c.measure.Name())
 	}
@@ -67,15 +68,9 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 			stats.Pruned++
 			return
 		}
-		inter := interSize(sa, sb)
-		// The score expressions mirror Jaccard/Dice exactly so the
-		// stored values match what the dense path computes.
-		var s float64
-		if dice {
-			s = 2 * float64(inter) / float64(len(sa)+len(sb))
-		} else {
-			s = float64(inter) / float64(len(sa)+len(sb)-inter)
-		}
+		// The Jaccard/Dice coefficient helpers keep the stored values
+		// bit-identical to what the dense path computes.
+		s := coef(len(sa), len(sb), interSize(sa, sb))
 		// Inclusion mirrors the dense path: scores round through float32
 		// before the θ comparison.
 		if float64(float32(s)) >= theta {

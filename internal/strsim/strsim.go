@@ -74,9 +74,16 @@ func NGrams(name string, n int) map[string]struct{} {
 
 // Jaccard returns |a∩b| / |a∪b| for two sets, and 0 when both are empty.
 func Jaccard[K comparable](a, b map[K]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
+	return jaccardCoef(len(a), len(b), interCount(a, b))
+}
+
+// Dice returns 2|a∩b| / (|a|+|b|) for two sets, and 0 when both are empty.
+func Dice[K comparable](a, b map[K]struct{}) float64 {
+	return diceCoef(len(a), len(b), interCount(a, b))
+}
+
+// interCount returns |a∩b|, probing the larger set with the smaller.
+func interCount[K comparable](a, b map[K]struct{}) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -87,29 +94,26 @@ func Jaccard[K comparable](a, b map[K]struct{}) float64 {
 			inter++
 		}
 	}
-	union := len(a) + len(b) - inter
+	return inter
+}
+
+// jaccardCoef and diceCoef compute the coefficients from the two set
+// sizes and their intersection size. Every n-gram scorer in the package
+// (Measure.Score, the dense matrix, the sparse tables) goes through them,
+// which is what keeps their scores bit-identical.
+func jaccardCoef(la, lb, inter int) float64 {
+	union := la + lb - inter
 	if union == 0 {
 		return 0
 	}
 	return float64(inter) / float64(union)
 }
 
-// Dice returns 2|a∩b| / (|a|+|b|) for two sets, and 0 when both are empty.
-func Dice[K comparable](a, b map[K]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
+func diceCoef(la, lb, inter int) float64 {
+	if la+lb == 0 {
 		return 0
 	}
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	inter := 0
-	//ube:nondeterministic-ok integer membership counting is order-independent
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(a)+len(b))
+	return 2 * float64(inter) / float64(la+lb)
 }
 
 // NGramJaccard is the paper's default measure: Jaccard coefficient between
