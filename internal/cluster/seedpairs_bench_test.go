@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"ube/internal/model"
 	"ube/internal/strsim"
+	"ube/internal/synth"
 )
 
 // BenchmarkSeedPairsSparse measures seed-pair construction on the
@@ -51,4 +53,59 @@ func BenchmarkSeedPairsSparse(b *testing.B) {
 			b.Fatal("no seed pairs on overlapping schemas")
 		}
 	}
+}
+
+// BenchmarkSeedPairsChurn measures the agenda's upkeep for one churn
+// batch — two sources added from a held-out pool, two removed — on the
+// 600-source synth.GenerateLarge universe of the engine's
+// BenchmarkDenseChurnRefresh: "patch" carries the pre-batch agenda
+// through the batch (ExtendSeedPairs), "build" rebuilds it over the
+// post-batch universe (BuildSeedPairs). Both produce the same agenda.
+func BenchmarkSeedPairsChurn(b *testing.B) {
+	lc := synth.DefaultLargeConfig(1000)
+	lc.Concepts, lc.ZipfS = 96, 1.01
+	all, _, err := synth.GenerateLarge(lc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := &model.Universe{Sources: append([]model.Source(nil), all.Sources[:600]...)}
+	// The batch removes sources 17 and 400 and appends two pool sources.
+	after := &model.Universe{}
+	remap := make([]int, 600)
+	for i, s := range before.Sources {
+		if i == 17 || i == 400 {
+			remap[i] = -1
+			continue
+		}
+		remap[i] = len(after.Sources)
+		after.Sources = append(after.Sources, s)
+	}
+	after.Sources = append(after.Sources, all.Sources[600], all.Sources[601])
+	sim := strsim.NewCache(nil)
+	for _, u := range []*model.Universe{before, after} {
+		for i := range u.Sources {
+			for _, a := range u.Sources[i].Attributes {
+				sim.Intern(a)
+			}
+		}
+	}
+	m := mustMatrix(sim)
+	theta := 0.65
+	nbrs := m.Neighbors(theta)
+	prev := BuildSeedPairs(before, buildNameIDs(before, sim), nbrs, m, theta)
+	ids := buildNameIDs(after, sim)
+	b.Run("patch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := ExtendSeedPairs(prev, remap, after, ids, nbrs, m, theta); got.Len() == 0 {
+				b.Fatal("empty agenda")
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := BuildSeedPairs(after, ids, nbrs, m, theta); got.Len() == 0 {
+				b.Fatal("empty agenda")
+			}
+		}
+	})
 }

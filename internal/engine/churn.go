@@ -67,6 +67,19 @@ func (r Remap) apply(ids []int) []int {
 	return out
 }
 
+// then composes r with the remap of a later batch: the result maps r's
+// pre-batch IDs straight to next's post-batch IDs. A nil r stands for the
+// identity; otherwise r is overwritten in place.
+func (r Remap) then(next Remap) Remap {
+	if r == nil {
+		return append(Remap(nil), next...)
+	}
+	for i, id := range r {
+		r[i] = next.Of(id)
+	}
+	return r
+}
+
 // PinnedSourceError reports a churn batch that would remove a source
 // the session's problem currently pins — via a source constraint or a
 // GA constraint reference. The batch is refused wholesale; the caller
@@ -321,13 +334,27 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 		plan.rows[i] = row
 	}
 	e.nameIDs = plan.rows
-	// Frozen per-θ state is stale in any mutated vocabulary; the dynamic
-	// indexes re-freeze lazily on the next solve at each θ.
-	clear(e.neighborsByTheta)
-	clear(e.seedByTheta)
+	// Frozen θ-sparse tables are stale in any mutated vocabulary; the
+	// dynamic indexes re-freeze lazily on the next solve at each θ, and
+	// neighbor lists follow them. The dense matrix only ever grows, so
+	// its neighbor lists stay until refreshMatrix grows it.
 	clear(e.sparseByTheta)
 	if e.matrix != nil {
 		e.matrixDirty = true
+	} else {
+		clear(e.neighborsByTheta)
+	}
+	// Cached seed agendas are patched, not rebuilt: each remembers the
+	// composed remap since it was built, and the next solve at its θ
+	// applies it in one step. An agenda the universe did not qualify for
+	// is rebuilt from scratch, since churn may have made it qualify.
+	//ube:nondeterministic-ok each entry is updated on its own; iteration order cannot matter
+	for th, a := range e.seedByTheta {
+		if a.sp == nil {
+			delete(e.seedByTheta, th)
+			continue
+		}
+		a.remap = a.remap.then(plan.remap)
 	}
 	if plan.hadRemove && e.matchCache != nil {
 		// Removals renumber source IDs, so every cached SourceSet key now

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"ube/internal/cluster"
 	"ube/internal/model"
 	"ube/internal/pcsa"
 	"ube/internal/strsim"
@@ -282,7 +283,8 @@ func TestChurnDifferentialDense(t *testing.T) {
 
 // TestChurnDenseMatrixGrowsByNewNames pins how churn maintains the dense
 // matrix, on TestChurnDifferentialDense's schedule: a batch that interns
-// no new name keeps the very same matrix (no rebuild), and a batch that
+// no new name keeps the very same matrix and neighbor lists (no rebuild,
+// no rescan), and a batch that
 // interns new names grows it by exactly their count. Either way the
 // session's warm-started re-solve must be bit-identical to a from-scratch
 // solve of the same input on a fresh dense engine.
@@ -306,9 +308,11 @@ func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := cloneUniverse(base)
+	theta := smallProblem().Theta
 	var kept, grown int
 	for bi, batch := range batches {
 		prev, vocab := e.matrix, e.sim.Len()
+		prevNbrs := e.neighborsByTheta[theta]
 		if _, err := s.ApplyChurn(batch); err != nil {
 			t.Fatalf("seed %d batch %d: session ApplyChurn: %v", seed, bi, err)
 		}
@@ -338,6 +342,9 @@ func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
 			if e.matrix != prev {
 				t.Fatalf("seed %d batch %d: a batch that interned no new name rebuilt the matrix", seed, bi)
 			}
+			if nbrs := e.neighborsByTheta[theta]; len(nbrs) == 0 || len(prevNbrs) == 0 || &nbrs[0] != &prevNbrs[0] {
+				t.Fatalf("seed %d batch %d: a batch that interned no new name rescanned the neighbor lists", seed, bi)
+			}
 		default:
 			grown++
 			if e.matrix.Len() != prev.Len()+added || e.matrix.Len() != e.sim.Len() {
@@ -350,6 +357,168 @@ func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
 		t.Fatalf("schedule exercised %d kept and %d grown matrices, want both", kept, grown)
 	}
 	t.Logf("%d batches kept the matrix, %d grew it", kept, grown)
+}
+
+// TestChurnSeedPairsMatchRebuild pins the patched round-1 agenda to a
+// rebuild. After churn, the agenda a solve at θ gets — the cached one
+// patched through the composed remaps of every batch since it was built —
+// must be deep-equal to BuildSeedPairs over the mutated universe with the
+// same engine's names, neighbors and scores. One θ is patched after every
+// batch and another after every third, so single and composed remaps are
+// both exercised, on the dense and on the θ-sparse path.
+func TestChurnSeedPairsMatchRebuild(t *testing.T) {
+	const seed = 17
+	cfg := synth.QuickConfig(30)
+	steps := 60
+	if testing.Short() {
+		steps = 24
+	}
+	base, batches, err := synth.ChurnSchedule(cfg, synth.ChurnConfig{Seed: seed, Steps: steps, MinSources: 12, MaxSources: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thetas := []struct {
+		theta float64
+		every int
+	}{{smallProblem().Theta, 1}, {0.5, 3}}
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{{"dense", nil}, {"sparse", []Option{WithSparseScores()}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			e, err := New(cloneUniverse(base), mode.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, th := range thetas {
+				checkSeedAgenda(t, e, th.theta, "before churn")
+			}
+			patched := 0
+			for bi, batch := range batches {
+				if _, err := e.ApplyChurn(batch); err != nil {
+					t.Fatalf("seed %d batch %d: ApplyChurn: %v", seed, bi, err)
+				}
+				for _, th := range thetas {
+					if (bi+1)%th.every != 0 {
+						continue
+					}
+					if a := e.seedByTheta[th.theta]; a != nil && a.sp != nil && a.remap != nil {
+						patched++
+					}
+					if sp := checkSeedAgenda(t, e, th.theta, fmt.Sprintf("seed %d batch %d", seed, bi)); sp == nil || sp.Len() == 0 {
+						t.Fatalf("seed %d batch %d θ=%v: no agenda pairs on a small universe", seed, bi, th.theta)
+					}
+				}
+			}
+			if patched == 0 {
+				t.Fatal("no agenda was patched; every check compared two full builds")
+			}
+		})
+	}
+
+	// Crossing the group-table cap: a universe hovering around 2048
+	// sources has an agenda below the cap and none above it, and the
+	// engine must follow both ways. Each source keeps at most two
+	// attributes named from a pool of unrelated words, so the agenda
+	// stays small at this size.
+	t.Run("cap", func(t *testing.T) {
+		cc := synth.QuickConfig(2046)
+		cc.MinCard, cc.MaxCard = 10, 50
+		base, batches, err := synth.ChurnSchedule(cc, synth.ChurnConfig{Seed: 15, Steps: 16, MinSources: 2044, MaxSources: 2052})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		rename := func(s *model.Source) {
+			s.AttrSignatures = nil
+			s.Attributes = s.Attributes[:min(2, len(s.Attributes))]
+			for a := range s.Attributes {
+				s.Attributes[a] = capWord(k)
+				k++
+			}
+		}
+		for i := range base.Sources {
+			rename(&base.Sources[i])
+		}
+		for _, batch := range batches {
+			for i := range batch {
+				if batch[i].Op == OpAdd {
+					batch[i].Source.Attributes = append([]string(nil), batch[i].Source.Attributes...)
+					rename(&batch[i].Source)
+				}
+			}
+		}
+		e, err := New(cloneUniverse(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		theta := smallProblem().Theta
+		var below, above, patched int
+		last := checkSeedAgenda(t, e, theta, "before churn") != nil
+		crossings := 0
+		for bi, batch := range batches {
+			if _, err := e.ApplyChurn(batch); err != nil {
+				t.Fatalf("batch %d: ApplyChurn: %v", bi, err)
+			}
+			if a := e.seedByTheta[theta]; a != nil && a.sp != nil && a.remap != nil {
+				patched++
+			}
+			has := checkSeedAgenda(t, e, theta, fmt.Sprintf("batch %d (%d sources)", bi, e.u.N())) != nil
+			if has != (e.u.N() <= 2048) {
+				t.Fatalf("batch %d: agenda present = %v at %d sources", bi, has, e.u.N())
+			}
+			if has {
+				below++
+			} else {
+				above++
+			}
+			if has != last {
+				crossings++
+			}
+			last = has
+		}
+		if below == 0 || above == 0 || crossings < 2 || patched == 0 {
+			t.Fatalf("schedule gave %d solves below the cap, %d above, %d crossings, %d patches; want all nonzero and two crossings",
+				below, above, crossings, patched)
+		}
+	})
+}
+
+// capWord names the k-th attribute slot of the cap schedule: one of 64
+// six-letter letter salads, so few name pairs reach θ and the agenda
+// stays small even at 2048 sources.
+func capWord(k int) string {
+	x := uint32(k%64+1) * 2654435761
+	b := make([]byte, 6)
+	for i := range b {
+		b[i] = byte('a' + x%26)
+		x /= 26
+	}
+	return string(b)
+}
+
+// checkSeedAgenda fetches the agenda a solve at θ would use and fails
+// unless it deep-equals a full BuildSeedPairs over the engine's current
+// universe and tables, and unless the engine now caches it as current.
+func checkSeedAgenda(t *testing.T, e *Engine, theta float64, where string) *cluster.SeedPairs {
+	t.Helper()
+	scores, nbrs := e.scoresFor(theta, nil)
+	got := e.seedPairs(theta, scores, nbrs)
+	want := cluster.BuildSeedPairs(e.u, e.nameIDs, nbrs, scores, theta)
+	if !reflect.DeepEqual(got, want) {
+		gl, wl := -1, -1
+		if got != nil {
+			gl = got.Len()
+		}
+		if want != nil {
+			wl = want.Len()
+		}
+		t.Fatalf("%s θ=%v: patched agenda (%d pairs) differs from a full build (%d pairs)", where, theta, gl, wl)
+	}
+	if a := e.seedByTheta[theta]; a == nil || a.sp != got || a.remap != nil {
+		t.Fatalf("%s θ=%v: engine does not cache the agenda it returned as current", where, theta)
+	}
+	return got
 }
 
 // TestChurnWarmResolveMatchesFresh: after each churn batch, a session's

@@ -29,8 +29,8 @@ import (
 // the lazy pairwise cache.
 const matrixLimit = 4096
 
-// matchCacheLimit bounds the Match memo table; candidate sets beyond this
-// are evaluated without caching (the map is cleared, not grown).
+// matchCacheLimit bounds the Match memo table; a miss that finds the table
+// full first evicts about half of it (see matchQuality).
 const matchCacheLimit = 1 << 18
 
 // Problem is one iteration's optimization problem (§2.5): the selection
@@ -160,9 +160,9 @@ type Engine struct {
 	// block configures the blocking index behind sparseByTheta.
 	block strsim.BlockConfig
 	// seedByTheta caches the precomputed round-1 clustering agenda per
-	// threshold (see cluster.SeedPairs); entries may be nil when the
-	// universe doesn't qualify for the fast path.
-	seedByTheta map[float64]*cluster.SeedPairs
+	// threshold (see cluster.SeedPairs and seedAgenda); an entry's agenda
+	// may be nil when the universe doesn't qualify for the fast path.
+	seedByTheta map[float64]*seedAgenda
 
 	// Churn state (see churn.go), nil/false until the first ApplyChurn
 	// so never-churned engines keep the exact pre-churn paths and costs.
@@ -306,7 +306,7 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		nameIDs:          nameIDs,
 		neighborsByTheta: make(map[float64][][]int),
 		sparseByTheta:    make(map[float64]*strsim.SparseScores),
-		seedByTheta:      make(map[float64]*cluster.SeedPairs),
+		seedByTheta:      make(map[float64]*seedAgenda),
 		legacyEval:       o.legacyEval,
 		faults:           o.faults,
 		block:            o.block,
@@ -660,7 +660,8 @@ func (e *Engine) scoresFor(theta float64, st *trace.Stats) (strsim.Scorer, [][]i
 // rows and columns of names interned since it was built; a burst that
 // interned no new name keeps the same matrix. A vocabulary grown past
 // matrixLimit demotes the engine to the θ-sparse path permanently — the
-// path choice is sticky, matching the construction-time rule.
+// path choice is sticky, matching the construction-time rule. Cached
+// neighbor lists survive unless the matrix changed.
 func (e *Engine) refreshMatrix() {
 	if !e.matrixDirty {
 		return
@@ -668,11 +669,18 @@ func (e *Engine) refreshMatrix() {
 	e.matrixDirty = false
 	if e.sim.Len() <= matrixLimit {
 		if m, err := e.sim.ExtendMatrix(e.matrix); err == nil {
+			if m != e.matrix {
+				clear(e.neighborsByTheta)
+			}
 			e.matrix = m
 			e.scores = m
 			return
 		}
 	}
+	// The demoted engine scores through another table: nothing built on
+	// the matrix carries over.
+	clear(e.neighborsByTheta)
+	clear(e.seedByTheta)
 	e.matrix = nil
 	e.scores = e.sim
 }

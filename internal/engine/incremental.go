@@ -23,17 +23,29 @@ import (
 // back to the ordinary full path, which is itself memoized. See DESIGN.md
 // ("Evaluation pipeline performance").
 
+// seedAgenda is one θ's cached round-1 agenda. Churn leaves it stale:
+// remap composes the remaps of every batch since sp was built, and the
+// next solve at θ patches sp forward in one step.
+type seedAgenda struct {
+	sp    *cluster.SeedPairs
+	remap Remap // nil while sp matches the universe
+}
+
 // seedPairs returns (building and caching on first use) the precomputed
 // round-1 clustering agenda for θ over the solve's routed scorer and
 // adjacency (dense or θ-sparse), or nil when the universe doesn't
-// qualify for the fast path.
+// qualify for the fast path. After churn it patches the cached agenda
+// (cluster.ExtendSeedPairs) instead of rebuilding it.
 func (e *Engine) seedPairs(theta float64, scores strsim.Scorer, neighbors [][]int) *cluster.SeedPairs {
-	if sp, ok := e.seedByTheta[theta]; ok {
-		return sp
+	a := e.seedByTheta[theta]
+	if a == nil {
+		a = &seedAgenda{}
+		e.seedByTheta[theta] = a
+	} else if a.remap == nil {
+		return a.sp
 	}
-	sp := cluster.BuildSeedPairs(e.u, e.nameIDs, neighbors, scores, theta)
-	e.seedByTheta[theta] = sp
-	return sp
+	a.sp, a.remap = cluster.ExtendSeedPairs(a.sp, a.remap, e.u, e.nameIDs, neighbors, scores, theta), nil
+	return a.sp
 }
 
 // incumbent is the per-solve cache of one base set's evaluation state.
