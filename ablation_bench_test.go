@@ -88,8 +88,8 @@ func BenchmarkAblationMatcherScoring(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatchCache quantifies the engine's Match memo table by
-// running identical solves with and without it.
+// BenchmarkAblationMatchCache quantifies the engine's per-solve component
+// memo by running identical solves with and without it.
 func BenchmarkAblationMatchCache(b *testing.B) {
 	cfg := synth.QuickConfig(60)
 	u, _, err := synth.Generate(cfg)

@@ -146,10 +146,10 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		if cap(sc.owners) < len(cfg.Neighbors) {
 			sc.owners = make([][]*workCluster, len(cfg.Neighbors))
 		}
+		// Every owners list is empty between runs, so only the names
+		// this run indexes need emptying again when it returns (a merge
+		// only unions names its seeds already carry).
 		owners = sc.owners[:len(cfg.Neighbors)]
-		for i := range owners {
-			owners[i] = owners[i][:0]
-		}
 		for _, c := range clusters {
 			for _, n := range c.names {
 				owners[n] = append(owners[n], c)
@@ -176,7 +176,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 			}
 		}
 	}
-	queue, spare = sortRun(queue, spare, 0, nSeed, matrixKeys)
+	queue, spare = sortRun(queue, spare, 0, nSeed, matrixKeys, sc)
 
 	// Work counters accumulate locally and flush once at the single
 	// return below, so the walk itself carries no atomics.
@@ -261,7 +261,15 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		}
 		clusters = next
 		if len(born) == 0 {
-			// Hand the working buffers back for the next Match call.
+			// Hand the working buffers back for the next run, with
+			// every owners list empty again.
+			if owners != nil {
+				for _, c := range arena[:nSeed] {
+					for _, n := range c.names {
+						owners[n] = owners[n][:0]
+					}
+				}
+			}
 			sc.arena = arena
 			sc.queue, sc.pending, sc.fresh, sc.spare = queue, pending, fresh, spare
 			sc.list = clusters
@@ -316,7 +324,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				}
 			}
 		}
-		fresh, spare = sortRun(fresh, spare, minOrd, nSeed-int(minOrd), matrixKeys)
+		fresh, spare = sortRun(fresh, spare, minOrd, nSeed-int(minOrd), matrixKeys, sc)
 		admitted += int64(len(fresh))
 	}
 }
@@ -332,7 +340,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 // and with heavily duplicated similarities a comparison sort spends most
 // of its time in tiebreaks, so the linear sort is where the agenda path's
 // headroom is.
-func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bool) (sorted, spare []agendaEntry) {
+func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bool, sc *Scratch) (sorted, spare []agendaEntry) {
 	if !matrixKeys || len(queue) < 128 {
 		slices.SortFunc(queue, func(x, y agendaEntry) int {
 			switch {
@@ -359,7 +367,10 @@ func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bo
 		scratch = make([]agendaEntry, len(queue))
 	}
 	src, dst := queue, scratch[:len(queue)]
-	counts := make([]int32, max(nOrds, digits))
+	if n := max(nOrds, digits); cap(sc.counts) < n {
+		sc.counts = make([]int32, n)
+	}
+	counts := sc.counts[:cap(sc.counts)]
 
 	// prefixSum turns the histogram into starting offsets.
 	prefixSum := func(cnt []int32) {

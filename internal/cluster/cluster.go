@@ -178,10 +178,7 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 
 // seed builds the initial cluster list: one keep-cluster per GA constraint,
 // then one singleton per remaining attribute of every source in S
-// (Algorithm 1 lines 1–4). Clusters and the singletons' tiny slices come
-// from the scratch slabs, sized here for the whole call: seeds plus one
-// slot per possible merge, so agenda-held pointers into the slab stay
-// valid without it ever reallocating mid-run.
+// (Algorithm 1 lines 1–4).
 func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*workCluster {
 	intern := func(r model.AttrRef) int {
 		if cfg.NameIDs != nil {
@@ -194,34 +191,16 @@ func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*
 	for _, id := range S {
 		nSlots += len(u.Source(id).Attributes)
 	}
-	seeds := len(G) + nSlots
-	if cap(sc.slab) < 2*seeds {
-		sc.slab = make([]workCluster, 0, 2*seeds+seeds/2)
-	}
-	sc.slab = sc.slab[:0]
-	if cap(sc.attrs) < nSlots {
-		sc.attrs = make([]model.AttrRef, 0, nSlots+nSlots/4)
-	}
-	sc.attrs = sc.attrs[:0]
-	if cap(sc.ints) < 2*nSlots {
-		sc.ints = make([]int, 0, 2*nSlots+nSlots/2)
-	}
-	sc.ints = sc.ints[:0]
-
+	sc.reset(len(G)+nSlots, nSlots)
 	clusters := sc.list[:0]
 	var inConstraint map[model.AttrRef]struct{}
 	if len(G) > 0 {
 		inConstraint = make(map[model.AttrRef]struct{})
 		for _, g := range G {
-			c := sc.newCluster()
-			c.keep = true
+			clusters = append(clusters, sc.keepCluster(g, intern))
 			for _, r := range g {
-				c.attrs = append(c.attrs, r)
 				inConstraint[r] = struct{}{}
-				addSource(c, r.Source)
-				addName(c, intern(r))
 			}
-			clusters = append(clusters, c)
 		}
 	}
 	for _, id := range S {
@@ -231,15 +210,7 @@ func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*
 			if _, taken := inConstraint[r]; taken {
 				continue
 			}
-			c := sc.newCluster()
-			na := len(sc.attrs)
-			sc.attrs = append(sc.attrs, r)
-			c.attrs = sc.attrs[na : na+1 : na+1]
-			ni := len(sc.ints)
-			sc.ints = append(sc.ints, id, intern(r))
-			c.srcs = sc.ints[ni : ni+1 : ni+1]
-			c.names = sc.ints[ni+1 : ni+2 : ni+2]
-			clusters = append(clusters, c)
+			clusters = append(clusters, sc.singleton(r, intern(r)))
 		}
 	}
 	sc.list = clusters
@@ -537,8 +508,13 @@ func quality(c *workCluster, sim strsim.Scorer) float64 {
 // assemble applies the β filter, checks validity on C, and packages the
 // result (Algorithm 1 line 24).
 func assemble(clusters []*workCluster, C []int, G []model.GA, cfg Config) Result {
-	var res Result
-	schema := &model.MediatedSchema{}
+	return compose([]*Part{assemblePart(clusters, G, cfg)}, C)
+}
+
+// assemblePart applies the β filter to a run's final clusters and
+// packages the surviving GAs in schema order.
+func assemblePart(clusters []*workCluster, G []model.GA, cfg Config) *Part {
+	p := &Part{}
 	for _, c := range clusters {
 		g := model.NewGA(c.attrs...)
 		exempt := containsConstraint(g, G)
@@ -547,27 +523,12 @@ func assemble(clusters []*workCluster, C []int, G []model.GA, cfg Config) Result
 			// (≥ 2 attributes) and satisfy the user's β floor.
 			continue
 		}
-		schema.GAs = append(schema.GAs, g)
-		res.GAQuality = append(res.GAQuality, quality(c, cfg.Scores))
-		res.FromConstraint = append(res.FromConstraint, exempt)
+		p.GAs = append(p.GAs, g)
+		p.Quality = append(p.Quality, quality(c, cfg.Scores))
+		p.FromConstraint = append(p.FromConstraint, exempt)
 	}
-	sortSchema(schema, res.GAQuality, res.FromConstraint)
-
-	if !schema.ValidOn(C) {
-		// No matching satisfies both the threshold and the source
-		// constraints for this set of sources.
-		return Result{}
-	}
-	res.Schema = schema
-	res.Valid = true
-	if len(schema.GAs) > 0 {
-		sum := 0.0
-		for _, q := range res.GAQuality {
-			sum += q
-		}
-		res.Quality = sum / float64(len(schema.GAs))
-	}
-	return res
+	sortSchema(p)
+	return p
 }
 
 // containsConstraint reports whether some user GA constraint is a subset
@@ -581,10 +542,10 @@ func containsConstraint(g model.GA, G []model.GA) bool {
 	return false
 }
 
-// sortSchema orders GAs deterministically (by first attribute) so that
-// equal inputs produce byte-identical results across runs.
-func sortSchema(m *model.MediatedSchema, qual []float64, fromC []bool) {
-	idx := make([]int, len(m.GAs))
+// sortSchema orders a part's GAs deterministically (by first attribute)
+// so that equal inputs produce byte-identical results across runs.
+func sortSchema(p *Part) {
+	idx := make([]int, len(p.GAs))
 	for i := range idx {
 		idx[i] = i
 	}
@@ -592,19 +553,15 @@ func sortSchema(m *model.MediatedSchema, qual []float64, fromC []bool) {
 		// Distinct GAs never share a first attribute (an attribute
 		// belongs to one cluster), so this is a strict total order and
 		// stability is moot.
-		ga, gb := m.GAs[a], m.GAs[b]
-		if ga[0].Less(gb[0]) {
-			return -1
-		}
-		return 1
+		return p.GAs[a][0].Compare(p.GAs[b][0])
 	})
 	gas := make([]model.GA, len(idx))
 	qs := make([]float64, len(idx))
 	fs := make([]bool, len(idx))
 	for to, from := range idx {
-		gas[to], qs[to], fs[to] = m.GAs[from], qual[from], fromC[from]
+		gas[to], qs[to], fs[to] = p.GAs[from], p.Quality[from], p.FromConstraint[from]
 	}
-	copy(m.GAs, gas)
-	copy(qual, qs)
-	copy(fromC, fs)
+	copy(p.GAs, gas)
+	copy(p.Quality, qs)
+	copy(p.FromConstraint, fs)
 }

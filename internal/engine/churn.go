@@ -67,19 +67,6 @@ func (r Remap) apply(ids []int) []int {
 	return out
 }
 
-// then composes r with the remap of a later batch: the result maps r's
-// pre-batch IDs straight to next's post-batch IDs. A nil r stands for the
-// identity; otherwise r is overwritten in place.
-func (r Remap) then(next Remap) Remap {
-	if r == nil {
-		return append(Remap(nil), next...)
-	}
-	for i, id := range r {
-		r[i] = next.Of(id)
-	}
-	return r
-}
-
 // PinnedSourceError reports a churn batch that would remove a source
 // the session's problem currently pins — via a source constraint or a
 // GA constraint reference. The batch is refused wholesale; the caller
@@ -343,29 +330,6 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 		e.matrixDirty = true
 	} else {
 		clear(e.neighborsByTheta)
-	}
-	// Cached seed agendas are patched, not rebuilt: each remembers the
-	// composed remap since it was built, and the next solve at its θ
-	// applies it in one step. An agenda the universe did not qualify for
-	// is rebuilt from scratch, since churn may have made it qualify.
-	//ube:nondeterministic-ok each entry is updated on its own; iteration order cannot matter
-	for th, a := range e.seedByTheta {
-		if a.sp == nil {
-			delete(e.seedByTheta, th)
-			continue
-		}
-		a.remap = a.remap.then(plan.remap)
-	}
-	if plan.hadRemove && e.matchCache != nil {
-		// Removals renumber source IDs, so every cached SourceSet key now
-		// names a different set: clear. Pure adds and updates keep the
-		// table — a set's F1 depends only on its members' attributes and
-		// the clustering parameters, none of which an add or a metadata
-		// update can change.
-		e.matchMu.Lock()
-		clear(e.matchCache)
-		e.matchStamp = ""
-		e.matchMu.Unlock()
 	}
 	if err := e.ctx.Rebase(e.sigCounter.Sketch()); err != nil {
 		panic(fmt.Sprintf("engine: churn desync: context rebase on validated universe: %v", err))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -359,14 +360,13 @@ func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
 	t.Logf("%d batches kept the matrix, %d grew it", kept, grown)
 }
 
-// TestChurnSeedPairsMatchRebuild pins the patched round-1 agenda to a
-// rebuild. After churn, the agenda a solve at θ gets — the cached one
-// patched through the composed remaps of every batch since it was built —
-// must be deep-equal to BuildSeedPairs over the mutated universe with the
-// same engine's names, neighbors and scores. One θ is patched after every
-// batch and another after every third, so single and composed remaps are
-// both exercised, on the dense and on the θ-sparse path.
-func TestChurnSeedPairsMatchRebuild(t *testing.T) {
+// TestChurnComponentF1MatchesRebuild pins the component F1 path of a
+// churned engine to a rebuild. After every batch, the Result the churned
+// engine composes from θ-components — split over its grown or re-frozen
+// tables — must be deep-equal to whole-set Match on the legacy agenda,
+// scored by a fresh engine's tables over the mutated universe, for random
+// candidate sets at two thresholds, on the dense and the θ-sparse path.
+func TestChurnComponentF1MatchesRebuild(t *testing.T) {
 	const seed = 17
 	cfg := synth.QuickConfig(30)
 	steps := 60
@@ -377,10 +377,7 @@ func TestChurnSeedPairsMatchRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thetas := []struct {
-		theta float64
-		every int
-	}{{smallProblem().Theta, 1}, {0.5, 3}}
+	thetas := []float64{smallProblem().Theta, 0.5}
 	for _, mode := range []struct {
 		name string
 		opts []Option
@@ -390,135 +387,40 @@ func TestChurnSeedPairsMatchRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, th := range thetas {
-				checkSeedAgenda(t, e, th.theta, "before churn")
+			r := rand.New(rand.NewSource(seed))
+			check := func(where string) {
+				fresh, err := New(cloneUniverse(e.u), mode.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, theta := range thetas {
+					scores, nbrs := e.scoresFor(theta, nil)
+					mt := e.newMatcher(cluster.Config{Theta: theta, Beta: 2, Sim: e.sim, Scores: scores, Neighbors: nbrs, NameIDs: e.nameIDs}, nil, nil)
+					freshScores, _ := fresh.scoresFor(theta, nil)
+					oracle := cluster.Config{Theta: theta, Beta: 2, Sim: fresh.sim, Scores: freshScores, LegacyAgenda: true}
+					for k := 0; k < 4; k++ {
+						S := model.NewSourceSet(e.u.N())
+						for S.Len() < min(8, e.u.N()) {
+							S.Add(r.Intn(e.u.N()))
+						}
+						got := mt.result(S)
+						want := cluster.Match(fresh.u, S.Elements(), nil, nil, oracle)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s θ=%v S=%v: component Result differs from a rebuilt whole-set Match\ngot  %+v\nwant %+v",
+								where, theta, S.Elements(), got, want)
+						}
+					}
+				}
 			}
-			patched := 0
+			check("before churn")
 			for bi, batch := range batches {
 				if _, err := e.ApplyChurn(batch); err != nil {
 					t.Fatalf("seed %d batch %d: ApplyChurn: %v", seed, bi, err)
 				}
-				for _, th := range thetas {
-					if (bi+1)%th.every != 0 {
-						continue
-					}
-					if a := e.seedByTheta[th.theta]; a != nil && a.sp != nil && a.remap != nil {
-						patched++
-					}
-					if sp := checkSeedAgenda(t, e, th.theta, fmt.Sprintf("seed %d batch %d", seed, bi)); sp == nil || sp.Len() == 0 {
-						t.Fatalf("seed %d batch %d θ=%v: no agenda pairs on a small universe", seed, bi, th.theta)
-					}
-				}
-			}
-			if patched == 0 {
-				t.Fatal("no agenda was patched; every check compared two full builds")
+				check(fmt.Sprintf("seed %d batch %d", seed, bi))
 			}
 		})
 	}
-
-	// Crossing the group-table cap: a universe hovering around 2048
-	// sources has an agenda below the cap and none above it, and the
-	// engine must follow both ways. Each source keeps at most two
-	// attributes named from a pool of unrelated words, so the agenda
-	// stays small at this size.
-	t.Run("cap", func(t *testing.T) {
-		cc := synth.QuickConfig(2046)
-		cc.MinCard, cc.MaxCard = 10, 50
-		base, batches, err := synth.ChurnSchedule(cc, synth.ChurnConfig{Seed: 15, Steps: 16, MinSources: 2044, MaxSources: 2052})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := 0
-		rename := func(s *model.Source) {
-			s.AttrSignatures = nil
-			s.Attributes = s.Attributes[:min(2, len(s.Attributes))]
-			for a := range s.Attributes {
-				s.Attributes[a] = capWord(k)
-				k++
-			}
-		}
-		for i := range base.Sources {
-			rename(&base.Sources[i])
-		}
-		for _, batch := range batches {
-			for i := range batch {
-				if batch[i].Op == OpAdd {
-					batch[i].Source.Attributes = append([]string(nil), batch[i].Source.Attributes...)
-					rename(&batch[i].Source)
-				}
-			}
-		}
-		e, err := New(cloneUniverse(base))
-		if err != nil {
-			t.Fatal(err)
-		}
-		theta := smallProblem().Theta
-		var below, above, patched int
-		last := checkSeedAgenda(t, e, theta, "before churn") != nil
-		crossings := 0
-		for bi, batch := range batches {
-			if _, err := e.ApplyChurn(batch); err != nil {
-				t.Fatalf("batch %d: ApplyChurn: %v", bi, err)
-			}
-			if a := e.seedByTheta[theta]; a != nil && a.sp != nil && a.remap != nil {
-				patched++
-			}
-			has := checkSeedAgenda(t, e, theta, fmt.Sprintf("batch %d (%d sources)", bi, e.u.N())) != nil
-			if has != (e.u.N() <= 2048) {
-				t.Fatalf("batch %d: agenda present = %v at %d sources", bi, has, e.u.N())
-			}
-			if has {
-				below++
-			} else {
-				above++
-			}
-			if has != last {
-				crossings++
-			}
-			last = has
-		}
-		if below == 0 || above == 0 || crossings < 2 || patched == 0 {
-			t.Fatalf("schedule gave %d solves below the cap, %d above, %d crossings, %d patches; want all nonzero and two crossings",
-				below, above, crossings, patched)
-		}
-	})
-}
-
-// capWord names the k-th attribute slot of the cap schedule: one of 64
-// six-letter letter salads, so few name pairs reach θ and the agenda
-// stays small even at 2048 sources.
-func capWord(k int) string {
-	x := uint32(k%64+1) * 2654435761
-	b := make([]byte, 6)
-	for i := range b {
-		b[i] = byte('a' + x%26)
-		x /= 26
-	}
-	return string(b)
-}
-
-// checkSeedAgenda fetches the agenda a solve at θ would use and fails
-// unless it deep-equals a full BuildSeedPairs over the engine's current
-// universe and tables, and unless the engine now caches it as current.
-func checkSeedAgenda(t *testing.T, e *Engine, theta float64, where string) *cluster.SeedPairs {
-	t.Helper()
-	scores, nbrs := e.scoresFor(theta, nil)
-	got := e.seedPairs(theta, scores, nbrs)
-	want := cluster.BuildSeedPairs(e.u, e.nameIDs, nbrs, scores, theta)
-	if !reflect.DeepEqual(got, want) {
-		gl, wl := -1, -1
-		if got != nil {
-			gl = got.Len()
-		}
-		if want != nil {
-			wl = want.Len()
-		}
-		t.Fatalf("%s θ=%v: patched agenda (%d pairs) differs from a full build (%d pairs)", where, theta, gl, wl)
-	}
-	if a := e.seedByTheta[theta]; a == nil || a.sp != got || a.remap != nil {
-		t.Fatalf("%s θ=%v: engine does not cache the agenda it returned as current", where, theta)
-	}
-	return got
 }
 
 // TestChurnWarmResolveMatchesFresh: after each churn batch, a session's

@@ -29,10 +29,6 @@ import (
 // the lazy pairwise cache.
 const matrixLimit = 4096
 
-// matchCacheLimit bounds the Match memo table; a miss that finds the table
-// full first evicts about half of it (see matchQuality).
-const matchCacheLimit = 1 << 18
-
 // Problem is one iteration's optimization problem (§2.5): the selection
 // bound, clustering parameters, constraints, QEF weights and solver choice.
 type Problem struct {
@@ -129,8 +125,9 @@ type Solution struct {
 	Feasible bool
 	// Evals counts objective evaluations spent by the solver.
 	Evals int
-	// MatchCache reports the Match memo table's hit/miss/eviction counts
-	// during this solve (all zero when memoization is disabled).
+	// MatchCache reports the solve's component memo traffic: lookups of
+	// θ-components that hit or missed, and entries evicted (all zero when
+	// memoization is disabled).
 	MatchCache CacheStats
 	// Elapsed is the wall-clock solve time.
 	//ube:operational timing metadata for humans; replay comparisons zero it
@@ -139,8 +136,7 @@ type Solution struct {
 
 // Engine holds the per-universe state shared across iterations: the QEF
 // context (signature unions, characteristic ranges), the interned
-// similarity vocabulary, the clustering fast-path indexes and the Match
-// memo table.
+// similarity vocabulary and the clustering fast-path indexes.
 type Engine struct {
 	u      *model.Universe
 	ctx    *qef.Context
@@ -159,11 +155,6 @@ type Engine struct {
 	sparseByTheta map[float64]*strsim.SparseScores
 	// block configures the blocking index behind sparseByTheta.
 	block strsim.BlockConfig
-	// seedByTheta caches the precomputed round-1 clustering agenda per
-	// threshold (see cluster.SeedPairs and seedAgenda); an entry's agenda
-	// may be nil when the universe doesn't qualify for the fast path.
-	seedByTheta map[float64]*seedAgenda
-
 	// Churn state (see churn.go), nil/false until the first ApplyChurn
 	// so never-churned engines keep the exact pre-churn paths and costs.
 	// churned switches sparse() from batch builds to the dynamic per-θ
@@ -182,40 +173,25 @@ type Engine struct {
 	// sigCounter maintains the union of all cooperative signatures so
 	// the QEF context can be rebased without rescanning the universe.
 	sigCounter *pcsa.UnionCounter
-	// scratch pools the matcher's reusable working memory; one Scratch
-	// per concurrent evaluation worker.
+	// scratch pools the F1 path's reusable working memory; one per
+	// concurrent evaluation worker.
 	scratch sync.Pool
 
 	legacyEval bool // WithLegacyEvaluation: seed-equivalent slow paths
+	noMemo     bool // WithoutMatchCache: no per-solve component memo
+	// memoLimit overrides componentMemoLimit when positive (tests).
+	memoLimit int
 
 	// faults arms the engine's injection points (solve.cancel-midway,
 	// snapshot.evict); nil outside chaos runs. See internal/faultinject.
 	faults *faultinject.Injector
-
-	// matchMu guards matchCache and the cache statistics; parallel solves
-	// evaluate candidates concurrently.
-	matchMu    sync.Mutex
-	matchCache map[string]cachedMatch
-	// matchStamp identifies the clustering parameters (θ, β,
-	// constraints) the cached entries were computed under; a solve with
-	// different parameters invalidates the table.
-	matchStamp string
-	cacheStats CacheStats
 }
 
-type cachedMatch struct {
-	quality float64
-	valid   bool
-}
-
-// CacheStats counts Match memo table traffic. Hits and Misses cover the
-// lookups; Evictions counts entries dropped to keep the table bounded.
+// CacheStats counts the component memo's traffic in one solve. Hits and
+// Misses cover the lookups; Evictions counts entries dropped to keep the
+// memo bounded.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-}
-
-func (s CacheStats) sub(o CacheStats) CacheStats {
-	return CacheStats{Hits: s.Hits - o.Hits, Misses: s.Misses - o.Misses, Evictions: s.Evictions - o.Evictions}
 }
 
 // Option configures engine construction.
@@ -236,17 +212,18 @@ func WithMeasure(m strsim.Measure) Option {
 	return func(o *options) { o.measure = m }
 }
 
-// WithoutMatchCache disables Match memoization; it exists for ablation
-// benchmarks that quantify what the cache buys.
+// WithoutMatchCache disables the per-solve component memo, so every
+// candidate clusters all of its components; it exists for ablation
+// benchmarks and differential tests. Results are identical either way.
 func WithoutMatchCache() Option {
 	return func(o *options) { o.noCache = true }
 }
 
 // WithLegacyEvaluation pins the engine to the original evaluation
-// pipeline — the sorted-slice clustering agenda, per-call interning, no
-// precomputed seed pairs, no scratch reuse and no incremental objective —
-// so benchmarks can quantify what the incremental pipeline buys. Results
-// are identical either way; only the time differs.
+// pipeline — whole-set Match on the sorted-slice clustering agenda,
+// per-call interning, no component memo, no scratch reuse and no
+// incremental objective — so benchmarks can quantify what the incremental
+// pipeline buys. Results are identical either way; only the time differs.
 func WithLegacyEvaluation() Option {
 	return func(o *options) { o.legacyEval = true }
 }
@@ -306,15 +283,12 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		nameIDs:          nameIDs,
 		neighborsByTheta: make(map[float64][][]int),
 		sparseByTheta:    make(map[float64]*strsim.SparseScores),
-		seedByTheta:      make(map[float64]*seedAgenda),
 		legacyEval:       o.legacyEval,
+		noMemo:           o.noCache,
 		faults:           o.faults,
 		block:            o.block,
 	}
-	e.scratch.New = func() any { return &cluster.Scratch{} }
-	if !o.noCache {
-		e.matchCache = make(map[string]cachedMatch)
-	}
+	e.scratch.New = func() any { return &evalScratch{} }
 	if sim.Len() <= matrixLimit && !o.forceSparse {
 		m, err := sim.BuildMatrix()
 		if err != nil {
@@ -404,80 +378,6 @@ func (e *Engine) buildQEFs(p *Problem) ([]qef.QEF, error) {
 	return qefs, nil
 }
 
-// restampMatchCache clears the Match memo table when the clustering
-// parameters differ from those its entries were computed under: cached F1
-// values are only valid for one (θ, β, C, G) configuration.
-func (e *Engine) restampMatchCache(p *Problem) {
-	if e.matchCache == nil {
-		return
-	}
-	stamp := fmt.Sprintf("%v|%d|%v|%v", p.Theta, p.Beta, p.Constraints.Sources, p.Constraints.GAs)
-	e.matchMu.Lock()
-	if stamp != e.matchStamp {
-		clear(e.matchCache)
-		e.matchStamp = stamp
-	}
-	e.matchMu.Unlock()
-}
-
-// matchQuality runs (or recalls) the constrained clustering for S and
-// returns F1 and feasibility.
-func (e *Engine) matchQuality(S *model.SourceSet, cfg cluster.Config, C []int, G []model.GA) (float64, bool) {
-	if e.matchCache == nil {
-		return e.runMatch(S, cfg, C, G)
-	}
-	key := S.Key()
-	e.matchMu.Lock()
-	hit, ok := e.matchCache[key]
-	if ok {
-		e.cacheStats.Hits++
-	} else {
-		e.cacheStats.Misses++
-	}
-	e.matchMu.Unlock()
-	if ok {
-		// Hit/miss traffic is deterministic for a fixed (problem, seed,
-		// Workers) on a fresh engine: evaluation batches are barriers, so
-		// which lookups find an earlier batch's publish never depends on
-		// scheduling. (After a random-replacement eviction the counts
-		// become load-dependent — evictions themselves are operational.)
-		cfg.Stats.Add(trace.CMatchHits, 1)
-		return hit.quality, hit.valid
-	}
-	cfg.Stats.Add(trace.CMatchMisses, 1)
-	quality, valid := e.runMatch(S, cfg, C, G)
-	e.matchMu.Lock()
-	if len(e.matchCache) >= matchCacheLimit {
-		// Evict about half the table rather than clearing it wholesale:
-		// a full clear made every in-flight candidate a miss at once — a
-		// latency cliff exactly when the search was deep into a solve —
-		// while halving keeps half the working set warm. Map iteration
-		// order is random, so this is random replacement.
-		target := matchCacheLimit / 2
-		//ube:nondeterministic-ok random replacement is the eviction policy; cached values are exact memos, so survivors never change results
-		for k := range e.matchCache {
-			if len(e.matchCache) <= target {
-				break
-			}
-			delete(e.matchCache, k)
-			e.cacheStats.Evictions++
-			cfg.Stats.Add(trace.OMatchEvictions, 1)
-		}
-	}
-	e.matchCache[key] = cachedMatch{quality: quality, valid: valid}
-	e.matchMu.Unlock()
-	return quality, valid
-}
-
-// runMatch executes one clustering with pooled scratch memory.
-func (e *Engine) runMatch(S *model.SourceSet, cfg cluster.Config, C []int, G []model.GA) (float64, bool) {
-	sc := e.scratch.Get().(*cluster.Scratch)
-	cfg.Scratch = sc
-	res := cluster.Match(e.u, S.Elements(), C, G, cfg)
-	e.scratch.Put(sc)
-	return res.Quality, res.Valid
-}
-
 // Solve runs one µBE iteration: it builds the objective from the problem's
 // QEFs and weights, dispatches the optimizer over the constrained search
 // space, and re-runs the matcher on the winning set to produce the full
@@ -543,17 +443,11 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 	}
 	if !e.legacyEval {
 		clusterCfg.NameIDs = e.nameIDs
-		clusterCfg.Seed = e.seedPairs(p.Theta, scores, nbrs)
 	}
-	C := p.Constraints.Sources
-	G := p.Constraints.GAs
-	e.restampMatchCache(p)
-	e.matchMu.Lock()
-	statsBefore := e.cacheStats
-	e.matchMu.Unlock()
+	mt := e.newMatcher(clusterCfg, p.Constraints.Sources, p.Constraints.GAs)
 
 	objective := func(S *model.SourceSet) (float64, bool) {
-		f1, valid := e.matchQuality(S, clusterCfg, C, G)
+		f1, valid := mt.f1(S)
 		q := wMatch * f1
 		if wRest > 0 {
 			clusterCfg.Stats.Add(trace.CQEFFull, 1)
@@ -580,7 +474,7 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 		Tracer:    p.Trace,
 	}
 	if !e.legacyEval {
-		dobj, bound := e.deltaObjective(comp, wMatch, wRest, clusterCfg, C, G)
+		dobj, bound := e.deltaObjective(comp, wMatch, wRest, mt)
 		prob.DeltaObjective = dobj
 		if p.BoundPruning {
 			prob.Bound = bound
@@ -603,21 +497,18 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 		}
 	}
 
-	e.matchMu.Lock()
-	statsAfter := e.cacheStats
-	e.matchMu.Unlock()
 	sol := &Solution{
 		Sources:    res.S.Elements(),
 		Set:        res.S,
 		Quality:    res.Quality,
 		Feasible:   res.Feasible,
 		Evals:      res.Evals,
-		MatchCache: statsAfter.sub(statsBefore),
+		MatchCache: mt.stats(),
 	}
-	// Re-run the matcher once on the final set for the full schema (the
-	// memo table only keeps scalar results).
+	// Compose the full schema of the final set through the same path; its
+	// components are memoized from the search.
 	finalSpan := tr.Begin("final")
-	final := cluster.Match(e.u, sol.Sources, C, G, clusterCfg)
+	final := mt.result(res.S)
 	sol.Match = final
 	sol.Schema = final.Schema
 	sol.Breakdown = comp.Breakdown(e.ctx, res.S)
@@ -680,7 +571,6 @@ func (e *Engine) refreshMatrix() {
 	// The demoted engine scores through another table: nothing built on
 	// the matrix carries over.
 	clear(e.neighborsByTheta)
-	clear(e.seedByTheta)
 	e.matrix = nil
 	e.scores = e.sim
 }

@@ -3,13 +3,11 @@ package engine
 import (
 	"sync"
 
-	"ube/internal/cluster"
 	"ube/internal/faultinject"
 	"ube/internal/floats"
 	"ube/internal/model"
 	"ube/internal/qef"
 	"ube/internal/search"
-	"ube/internal/strsim"
 	"ube/internal/trace"
 	"ube/internal/ubedebug"
 )
@@ -20,33 +18,8 @@ import (
 // snapshots that incumbent's evaluation state once (QEF partial sums plus
 // its unioned PCSA sketch) and evaluates every add-move off it by
 // extending the snapshot with a single source. Drop and swap moves fall
-// back to the ordinary full path, which is itself memoized. See DESIGN.md
-// ("Evaluation pipeline performance").
-
-// seedAgenda is one θ's cached round-1 agenda. Churn leaves it stale:
-// remap composes the remaps of every batch since sp was built, and the
-// next solve at θ patches sp forward in one step.
-type seedAgenda struct {
-	sp    *cluster.SeedPairs
-	remap Remap // nil while sp matches the universe
-}
-
-// seedPairs returns (building and caching on first use) the precomputed
-// round-1 clustering agenda for θ over the solve's routed scorer and
-// adjacency (dense or θ-sparse), or nil when the universe doesn't
-// qualify for the fast path. After churn it patches the cached agenda
-// (cluster.ExtendSeedPairs) instead of rebuilding it.
-func (e *Engine) seedPairs(theta float64, scores strsim.Scorer, neighbors [][]int) *cluster.SeedPairs {
-	a := e.seedByTheta[theta]
-	if a == nil {
-		a = &seedAgenda{}
-		e.seedByTheta[theta] = a
-	} else if a.remap == nil {
-		return a.sp
-	}
-	a.sp, a.remap = cluster.ExtendSeedPairs(a.sp, a.remap, e.u, e.nameIDs, neighbors, scores, theta), nil
-	return a.sp
-}
+// back to the ordinary full path. F1 takes the component path for every
+// move (match.go). See DESIGN.md ("Evaluation pipeline performance").
 
 // incumbent is the per-solve cache of one base set's evaluation state.
 // It holds a single slot: solvers walk one incumbent at a time, so by the
@@ -89,10 +62,9 @@ func (inc *incumbent) discard() {
 }
 
 // deltaObjective builds the solve's incremental objective and its
-// companion upper bound. Matching quality F1 is inherently whole-set
-// (the clustering is global) and stays on the memoized Match path; the
-// composite QEF side evaluates add-moves incrementally from the
-// incumbent snapshot. For a fixed S the returned quality is independent
+// companion upper bound. Matching quality F1 comes from the solve's
+// component path (mt); the composite QEF side evaluates add-moves
+// incrementally from the incumbent snapshot. For a fixed S the returned quality is independent
 // of the delta up to float reassociation in the characteristic folds
 // (≪1e-12, see TestDeltaObjectiveMatchesFull).
 //
@@ -103,9 +75,10 @@ func (inc *incumbent) discard() {
 // A PCSA-side shortcut was deliberately rejected — sketch-union
 // estimates are not subadditive, so est(A∪B) ≤ est(A)+est(B) does NOT
 // hold and any bound built on it would be unsound.
-func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, clusterCfg cluster.Config, C []int, G []model.GA) (search.DeltaObjective, search.BoundFunc) {
+func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, mt *matcher) (search.DeltaObjective, search.BoundFunc) {
 	de := qef.NewDeltaEval(comp)
-	de.Stats = clusterCfg.Stats
+	st := mt.cfg.Stats
+	de.Stats = st
 	inc := &incumbent{}
 	bound := func(S *model.SourceSet, d search.Delta) (float64, bool) {
 		//ube:float-exact wRest is assigned the literal 0 sentinel by Solve when w_match == 1
@@ -121,11 +94,11 @@ func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, clus
 			}
 			return wMatch + wRest*de.EvalAdd(e.ctx, snap, d.Add, S), true
 		}
-		clusterCfg.Stats.Add(trace.CQEFFull, 1)
+		st.Add(trace.CQEFFull, 1)
 		return wMatch + wRest*comp.Eval(e.ctx, S), true
 	}
 	dobj := func(S *model.SourceSet, d search.Delta) (float64, bool) {
-		f1, valid := e.matchQuality(S, clusterCfg, C, G)
+		f1, valid := mt.f1(S)
 		q := wMatch * f1
 		//ube:float-exact wRest is assigned the literal 0 sentinel by Solve when w_match == 1
 		if wRest == 0 {
@@ -156,7 +129,7 @@ func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, clus
 		}
 		// Drop and swap moves (and bases that don't match the snapshot
 		// shape) take the full composite path.
-		clusterCfg.Stats.Add(trace.CQEFFull, 1)
+		st.Add(trace.CQEFFull, 1)
 		return q + wRest*comp.Eval(e.ctx, S), valid
 	}
 	return dobj, bound

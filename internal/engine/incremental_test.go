@@ -28,11 +28,14 @@ func solveObjectives(t *testing.T, e *Engine, p *Problem) (search.Objective, sea
 	}
 	cfg := clusterConfig(e, p)
 	C, G := p.Constraints.Sources, p.Constraints.GAs
+	// The full objective clusters every component afresh; the delta one
+	// goes through the solve's component memo.
+	unmemoized := &matcher{e: e, cfg: cfg, C: C, G: G}
 	full := func(S *model.SourceSet) (float64, bool) {
-		f1, valid := e.matchQuality(S, cfg, C, G)
+		f1, valid := unmemoized.f1(S)
 		return wMatch*f1 + wRest*comp.Eval(e.ctx, S), valid
 	}
-	dobj, _ := e.deltaObjective(comp, wMatch, wRest, cfg, C, G)
+	dobj, _ := e.deltaObjective(comp, wMatch, wRest, e.newMatcher(cfg, C, G))
 	return full, dobj
 }
 
@@ -48,7 +51,6 @@ func clusterConfig(e *Engine, p *Problem) cluster.Config {
 	}
 	if !e.legacyEval {
 		cfg.NameIDs = e.nameIDs
-		cfg.Seed = e.seedPairs(p.Theta, cfg.Scores, cfg.Neighbors)
 	}
 	return cfg
 }
@@ -145,7 +147,7 @@ func TestSolveIncrementalMatchesLegacy(t *testing.T) {
 			t.Fatalf("workers=%d: quality %v vs %v", workers, got.Quality, want.Quality)
 		}
 		if got.MatchCache.Hits+got.MatchCache.Misses == 0 {
-			t.Fatal("no match cache traffic recorded")
+			t.Fatal("no component memo traffic recorded")
 		}
 	}
 }

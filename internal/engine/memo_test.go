@@ -3,6 +3,8 @@ package engine
 import (
 	"reflect"
 	"testing"
+
+	"ube/internal/model"
 )
 
 // canonicalSolution strips the operational telemetry (wall-clock time,
@@ -99,5 +101,86 @@ func TestSolveInputIsASnapshot(t *testing.T) {
 	}
 	if s.Problem().Seed == 12345 {
 		t.Error("mutating the snapshot changed the session seed")
+	}
+}
+
+// memoProblems are the solves the component-memo tests run: plain, with a
+// GA constraint and a source constraint, and at a second θ with β = 3.
+func memoProblems() []Problem {
+	plain := smallProblem()
+	plain.MaxSources = 10
+	plain.MaxEvals = 900
+	pinned := plain
+	pinned.Constraints.GAs = []model.GA{model.NewGA(model.AttrRef{Source: 0, Attr: 0}, model.AttrRef{Source: 1, Attr: 0})}
+	pinned.Constraints.Sources = []int{3}
+	strict := plain
+	strict.Theta, strict.Beta = 0.5, 3
+	return []Problem{plain, pinned, strict}
+}
+
+// TestComponentMemoMatchesUnmemoized runs whole tabu solves with and
+// without the per-solve component memo, at Workers 1 and 4: the solutions
+// must be identical, and the memo must actually serve hits.
+func TestComponentMemoMatchesUnmemoized(t *testing.T) {
+	e, _ := testEngine(t, 40)
+	off, err := New(e.u, WithoutMatchCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range memoProblems() {
+		for _, workers := range []int{1, 4} {
+			p.Workers = workers
+			got, err := e.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := off.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonicalSolution(got), canonicalSolution(want)) {
+				t.Fatalf("problem %d workers=%d: memoized solve %v q=%v differs from unmemoized %v q=%v",
+					pi, workers, got.Sources, got.Quality, want.Sources, want.Quality)
+			}
+			if got.MatchCache.Hits == 0 || got.MatchCache.Misses == 0 {
+				t.Fatalf("problem %d workers=%d: memo traffic %+v, want hits and misses", pi, workers, got.MatchCache)
+			}
+			if want.MatchCache != (CacheStats{}) {
+				t.Fatalf("problem %d: memo-off solve reports memo traffic %+v", pi, want.MatchCache)
+			}
+		}
+	}
+}
+
+// TestComponentMemoOverCap shrinks the memo bound so solves overflow it
+// many times: every overflow evicts, and the solutions must stay
+// identical to uncapped solves at Workers 1 and 4.
+func TestComponentMemoOverCap(t *testing.T) {
+	e, _ := testEngine(t, 40)
+	capped, err := New(e.u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped.memoLimit = 8
+	for pi, p := range memoProblems() {
+		for _, workers := range []int{1, 4} {
+			p.Workers = workers
+			got, err := capped.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonicalSolution(got), canonicalSolution(want)) {
+				t.Fatalf("problem %d workers=%d: over-cap solve %v q=%v differs from uncapped %v q=%v",
+					pi, workers, got.Sources, got.Quality, want.Sources, want.Quality)
+			}
+			if got.MatchCache.Evictions == 0 || want.MatchCache.Evictions != 0 {
+				t.Fatalf("problem %d workers=%d: evictions capped %d, uncapped %d; want some and none",
+					pi, workers, got.MatchCache.Evictions, want.MatchCache.Evictions)
+			}
+		}
 	}
 }

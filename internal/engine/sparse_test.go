@@ -61,7 +61,7 @@ func TestSparseSolveMatchesDense(t *testing.T) {
 }
 
 // TestSparseTraceDeterministic solves on the sparse path twice per
-// worker count, each on a fresh engine (cold match cache and cold
+// worker count, each on a fresh engine (cold neighbor lists and cold
 // blocking index — build counters are part of the payload), and requires
 // byte-identical canonical traces. It also pins that the blocking
 // counters actually fire on this path.

@@ -14,7 +14,7 @@ import (
 // selected sources, same quality/breakdown bit patterns, same schema,
 // same evaluation count (skips are still charged to the budget) — while
 // actually skipping candidates (bound.skips > 0 in the solve trace).
-// Each solve gets a fresh engine so the match cache starts cold both
+// Each solve gets a fresh engine so engine-level caches start cold both
 // times; only wall-clock fields may differ.
 func TestFig6PruningBitSafe(t *testing.T) {
 	o := Options{Quick: testing.Short(), MaxEvals: goldenEvals}

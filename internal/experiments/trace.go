@@ -11,8 +11,8 @@ import (
 
 // TraceResult is the tracing-overhead experiment: the hardest measured
 // Figure 6 cell (the golden m = 40 one) solved repeatedly with tracing
-// off and on, each on a fresh engine so the match cache starts cold both
-// ways. Seconds are min-of-runs — the standard way to compare a fixed
+// off and on, each on a fresh engine so engine-level caches start cold
+// both ways. Seconds are min-of-runs — the standard way to compare a fixed
 // workload's cost under measurement noise — and the captured trace's
 // span count and counter totals document what the enabled run recorded.
 type TraceResult struct {
@@ -63,8 +63,8 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 	var plain, traced *engine.Solution
 	for r := 0; r < runs; r++ {
 		for _, enabled := range []bool{false, true} {
-			// A fresh engine per solve: the match cache must start cold
-			// both ways or the second pipeline would time warm hits.
+			// A fresh engine per solve: engine-level caches must start
+			// cold both ways or the second pipeline would time warm ones.
 			e, err := engine.New(s.U)
 			if err != nil {
 				return nil, err

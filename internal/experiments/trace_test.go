@@ -12,7 +12,7 @@ import (
 )
 
 // tracedSolve runs one solve of the configuration on a fresh engine
-// (the match cache must start cold: a warm cache changes hit/miss
+// (engine-level caches must start cold: a warm one can change work
 // counts, which are part of the compared payload) and returns the
 // canonical trace bytes plus the raw trace.
 func tracedSolve(t *testing.T, r traceRun) ([]byte, *trace.Trace) {

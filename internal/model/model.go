@@ -5,7 +5,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"ube/internal/pcsa"
@@ -24,6 +27,15 @@ func (r AttrRef) Less(o AttrRef) bool {
 		return r.Source < o.Source
 	}
 	return r.Attr < o.Attr
+}
+
+// Compare orders AttrRefs like Less, as a three-way comparison for
+// slices.SortFunc.
+func (r AttrRef) Compare(o AttrRef) int {
+	if c := cmp.Compare(r.Source, o.Source); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Attr, o.Attr)
 }
 
 // A Source is a data source as µBE sees it (§2.1): a schema (a list of
@@ -171,7 +183,7 @@ type GA []AttrRef
 func NewGA(refs ...AttrRef) GA {
 	g := make(GA, len(refs))
 	copy(g, refs)
-	sort.Slice(g, func(i, j int) bool { return g[i].Less(g[j]) })
+	slices.SortFunc(g, AttrRef.Compare)
 	out := g[:0]
 	for i, r := range g {
 		if i == 0 || g[i-1] != r {
@@ -287,16 +299,73 @@ type MediatedSchema struct {
 // disjoint (the first condition of Definition 2: an attribute cannot
 // express two different concepts).
 func (m *MediatedSchema) Valid() bool {
-	seen := make(map[AttrRef]struct{})
+	n := 0
 	for _, g := range m.GAs {
 		if !g.Valid() {
 			return false
 		}
+		n += len(g)
+	}
+	if len(m.GAs) < 2 {
+		return true
+	}
+	return disjoint(m.GAs, n)
+}
+
+// disjoint reports whether no attribute occurs in two of the n attribute
+// slots of gas. It inserts every attribute into an open-addressing table
+// twice its size; up to disjointStack attributes the table lives on the
+// stack, so the common case allocates nothing.
+func disjoint(gas []GA, n int) bool {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	var stack [2 * disjointStack]uint64
+	table := stack[:]
+	if size <= len(stack) {
+		table = stack[:size]
+	} else {
+		table = make([]uint64, size)
+	}
+	mask := uint64(size - 1)
+	for _, g := range gas {
 		for _, r := range g {
-			if _, dup := seen[r]; dup {
-				return false
+			// Slot value 0 means empty, so store key+1; an attribute
+			// whose fields do not fit 32 bits makes the packing unsafe.
+			if uint64(r.Source) > math.MaxUint32 || uint64(r.Attr) > math.MaxUint32-1 {
+				return disjointSorted(gas, n)
 			}
-			seen[r] = struct{}{}
+			v := (uint64(r.Source)<<32 | uint64(r.Attr)) + 1
+			for h := ((v * 0x9E3779B97F4A7C15) >> 32) & mask; ; h = (h + 1) & mask {
+				if table[h] == 0 {
+					table[h] = v
+					break
+				}
+				if table[h] == v {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// disjointStack is the attribute count up to which disjoint's table fits
+// on the stack.
+const disjointStack = 256
+
+// disjointSorted is disjoint for attributes that do not pack into 64 bits:
+// a shared attribute shows up as two equal neighbors once all are sorted.
+func disjointSorted(gas []GA, n int) bool {
+	refs := make([]AttrRef, 0, n)
+	for _, g := range gas {
+		refs = append(refs, g...)
+	}
+	slices.SortFunc(refs, AttrRef.Compare)
+	for i := 1; i < len(refs); i++ {
+		if refs[i] == refs[i-1] {
+			return false
 		}
 	}
 	return true

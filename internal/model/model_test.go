@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -551,5 +552,57 @@ func TestAttrSignatureValidation(t *testing.T) {
 	u.Sources[1].AttrSignatures = []*pcsa.Sketch{pcsa.MustNew(128, 0), pcsa.MustNew(128, 0)}
 	if err := u.Validate(); err == nil {
 		t.Error("incompatible attr signatures accepted")
+	}
+}
+
+// TestMediatedSchemaValidMatchesReference checks the table-based
+// disjointness test against a plain map over random schemas: small ones
+// (table on the stack), large ones (table on the heap), schemas that
+// share an attribute, and attributes too wide to pack (sorted fallback).
+func TestMediatedSchemaValidMatchesReference(t *testing.T) {
+	reference := func(m *MediatedSchema) bool {
+		seen := map[AttrRef]bool{}
+		for _, g := range m.GAs {
+			if !g.Valid() {
+				return false
+			}
+			for _, r := range g {
+				if seen[r] {
+					return false
+				}
+				seen[r] = true
+			}
+		}
+		return true
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		nGA := 1 + r.Intn(12)
+		if trial%10 == 0 {
+			nGA = 100 + r.Intn(100) // past the stack table
+		}
+		base := 0
+		if trial%7 == 0 {
+			base = math.MaxUint32 - 3 // does not pack into 32 bits
+		}
+		// A wide attribute space keeps most schemas disjoint; half of
+		// them then get one attribute repeated in a later GA.
+		m := &MediatedSchema{}
+		for i := 0; i < nGA; i++ {
+			var refs []AttrRef
+			for s := 0; s < 1+r.Intn(5); s++ {
+				refs = append(refs, AttrRef{Source: base + r.Intn(3000), Attr: r.Intn(40)})
+			}
+			if g := NewGA(refs...); g.Valid() || r.Intn(8) == 0 {
+				m.GAs = append(m.GAs, g)
+			}
+		}
+		if r.Intn(2) == 0 && len(m.GAs) > 0 {
+			g := m.GAs[r.Intn(len(m.GAs))]
+			m.GAs = append(m.GAs, GA{g[r.Intn(len(g))]})
+		}
+		if got, want := m.Valid(), reference(m); got != want {
+			t.Fatalf("trial %d: Valid() = %v, reference %v on %v", trial, got, want, m.GAs)
+		}
 	}
 }

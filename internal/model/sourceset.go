@@ -71,7 +71,11 @@ func (s *SourceSet) Remove(id int) {
 
 // Elements returns the members in ascending order.
 func (s *SourceSet) Elements() []int {
-	out := make([]int, 0, s.count)
+	return s.AppendElements(make([]int, 0, s.count))
+}
+
+// AppendElements appends the members to out in ascending order.
+func (s *SourceSet) AppendElements(out []int) []int {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)

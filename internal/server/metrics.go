@@ -39,6 +39,7 @@ type metrics struct {
 	auditDropped    atomic.Int64 // audit lines lost to sink write errors
 	walAppendErrors atomic.Int64 // durability commits the server had to refuse
 
+	// Component memo traffic summed over solves (engine.CacheStats).
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64
@@ -98,6 +99,8 @@ type metricsDoc struct {
 	InFlight        int64 `json:"inFlight"`
 	AuditDropped    int64 `json:"auditLinesDropped"`
 
+	// Per-solve component memo traffic (engine.Solution.MatchCache),
+	// summed over solves; the names predate the component memo.
 	MatchCacheHits      int64 `json:"matchCacheHits"`
 	MatchCacheMisses    int64 `json:"matchCacheMisses"`
 	MatchCacheEvictions int64 `json:"matchCacheEvictions"`

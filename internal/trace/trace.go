@@ -44,12 +44,13 @@ const (
 	CSearchEvals Counter = iota
 	// CSearchBatches counts parallel candidate-evaluation batches.
 	CSearchBatches
-	// CMatchRuns counts clustering runs (match-cache misses plus the
-	// final schema materialization).
+	// CMatchRuns counts Algorithm 1 runs: one per θ-component clustered
+	// (a component memo miss), one per whole-set Match call.
 	CMatchRuns
-	// CMatchHits counts match-cache hits.
+	// CMatchHits counts component memo hits.
 	CMatchHits
-	// CMatchMisses counts match-cache misses.
+	// CMatchMisses counts component memo misses: the distinct components
+	// a solve clusters.
 	CMatchMisses
 	// CClusterRounds counts agenda rounds across clustering runs.
 	CClusterRounds
@@ -95,8 +96,8 @@ const (
 	// OSnapshotUnions counts per-member PCSA unions performed while
 	// building base snapshots.
 	OSnapshotUnions
-	// OMatchEvictions counts match-cache evictions (random replacement
-	// under memory pressure).
+	// OMatchEvictions counts component memo evictions (finished entries
+	// dropped when the per-solve memo reaches its bound).
 	OMatchEvictions
 
 	// NumCounters is the number of defined counters.
