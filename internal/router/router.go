@@ -16,13 +16,8 @@ import (
 	"time"
 
 	"ube/internal/faultinject"
+	"ube/internal/schemaio"
 )
-
-// maxCreateBody bounds create-session bodies, mirroring the shard
-// server's own request cap: the router must buffer creates (to inject
-// the session ID and to retry minted-ID collisions), so the cap is the
-// router's allocation bound.
-const maxCreateBody = 64 << 20
 
 // Config sizes the router.
 type Config struct {
@@ -184,66 +179,176 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, format string, args ..
 
 // --- session create: ID minting and placement ---
 
-// rewriteCreateBody injects the chosen session ID into a create-request
-// body without understanding the rest of it: unknown fields pass
-// through verbatim (the shard's strict decoder owns rejecting them).
-// Returns the rewritten body and the ID already present, if any.
-func rewriteCreateBody(raw []byte, id string) ([]byte, error) {
-	var fields map[string]json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&fields); err != nil {
-		return nil, fmt.Errorf("body is not a JSON object: %v", err)
+// errNotObject refuses a create body the ID scan cannot read as one
+// JSON object followed only by whitespace.
+var errNotObject = errors.New("body is not one JSON object")
+
+// scanCreateID returns the session ID a create body names, or "" when it
+// names none, in one pass over the bytes that allocates only for the ID
+// it returns (and an escaped key, which no real client sends). It reads
+// the top-level keys the way the shard's strict encoding/json decode
+// does: a key is unescaped and matches "id" case-insensitively
+// (bytes.EqualFold, encoding/json's fold rule); the last match wins; a
+// null value leaves the ID as it was; nested values are skipped unread.
+// The scan checks structure only as far as placement needs it — the
+// shard's decoder judges everything inside the values.
+func scanCreateID(b []byte) (string, error) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return "", errNotObject
 	}
-	if dec.More() {
-		return nil, errors.New("trailing content after JSON body")
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return "", trailing(b, i+1)
 	}
-	if fields == nil {
-		fields = make(map[string]json.RawMessage, 1)
+	id := ""
+	for {
+		if i == len(b) || b[i] != '"' {
+			return "", errNotObject
+		}
+		keyEnd := stringEnd(b, i+1)
+		if keyEnd < 0 {
+			return "", errNotObject
+		}
+		key := b[i:keyEnd]
+		i = skipSpace(b, keyEnd)
+		if i == len(b) || b[i] != ':' {
+			return "", errNotObject
+		}
+		start := skipSpace(b, i+1)
+		end, err := skipValue(b, start)
+		if err != nil {
+			return "", err
+		}
+		if isIDKey(key) {
+			switch v := b[start:end]; {
+			case string(v) == "null":
+				// Decoding null into a string is a no-op.
+			case v[0] == '"':
+				var s string
+				if err := json.Unmarshal(v, &s); err != nil {
+					return "", fmt.Errorf("id: %v", err)
+				}
+				id = s
+			default:
+				return "", errors.New("id is not a string")
+			}
+		}
+		i = skipSpace(b, end)
+		if i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+			continue
+		}
+		if i < len(b) && b[i] == '}' {
+			return id, trailing(b, i+1)
+		}
+		return "", errNotObject
 	}
-	idRaw, err := json.Marshal(id)
-	if err != nil {
-		return nil, err
-	}
-	fields["id"] = idRaw
-	return json.Marshal(fields)
 }
 
-// extractCreateID returns the client-supplied session ID in a create
-// body, or "" when absent. Malformed bodies return an error so the
-// router rejects them before picking a shard.
-func extractCreateID(raw []byte) (string, error) {
-	var fields map[string]json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&fields); err != nil {
-		return "", fmt.Errorf("body is not a JSON object: %v", err)
+// isIDKey reports whether a quoted key decodes to a name encoding/json
+// matches to the "id" field.
+func isIDKey(quoted []byte) bool {
+	name := quoted[1 : len(quoted)-1]
+	if bytes.IndexByte(name, '\\') < 0 {
+		return bytes.EqualFold(name, []byte("id"))
 	}
-	if dec.More() {
-		return "", errors.New("trailing content after JSON body")
+	var k string
+	return json.Unmarshal(quoted, &k) == nil && strings.EqualFold(k, "id")
+}
+
+// skipValue returns the index just past the JSON value starting at b[i]:
+// a string, a bracketed value skipped by depth, or a bare scalar token.
+func skipValue(b []byte, i int) (int, error) {
+	if i == len(b) {
+		return 0, errNotObject
 	}
-	raw, ok := fields["id"]
-	if !ok {
-		return "", nil
+	switch b[i] {
+	case '"':
+		if end := stringEnd(b, i+1); end >= 0 {
+			return end, nil
+		}
+	case '{', '[':
+		depth := 0
+		for i < len(b) {
+			switch b[i] {
+			case '"':
+				end := stringEnd(b, i+1)
+				if end < 0 {
+					return 0, errNotObject
+				}
+				i = end
+				continue
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1, nil
+				}
+			}
+			i++
+		}
+	default:
+		start := i
+		for i < len(b) && !strings.ContainsRune(" \t\r\n,:{}[]\"", rune(b[i])) {
+			i++
+		}
+		if i > start {
+			return i, nil
+		}
 	}
-	var id string
-	if err := json.Unmarshal(raw, &id); err != nil {
-		return "", fmt.Errorf("id is not a string: %v", err)
+	return 0, errNotObject
+}
+
+// stringEnd returns the index just past the closing quote of the JSON
+// string whose contents start at b[i], or -1 when it is unterminated. A
+// quote closes the string unless an odd run of backslashes escapes it;
+// the search jumps from quote to quote, so a long string (a base64
+// signature) costs one vectorised byte search.
+func stringEnd(b []byte, i int) int {
+	for {
+		j := bytes.IndexByte(b[i:], '"')
+		if j < 0 {
+			return -1
+		}
+		j += i
+		k := j
+		for k > i && b[k-1] == '\\' {
+			k--
+		}
+		if (j-k)%2 == 0 {
+			return j + 1
+		}
+		i = j + 1
 	}
-	return id, nil
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// trailing refuses anything but whitespace after the body's object.
+func trailing(b []byte, i int) error {
+	if skipSpace(b, i) != len(b) {
+		return errors.New("trailing content after JSON body")
+	}
+	return nil
 }
 
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxCreateBody+1))
+	raw, err := schemaio.ReadBody(r.Body, r.ContentLength, schemaio.MaxBodyBytes)
+	if errors.Is(err, schemaio.ErrBodyTooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorDoc{Error: "request body too large"})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "reading request body: " + err.Error()})
 		return
 	}
-	if len(raw) > maxCreateBody {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorDoc{Error: "request body too large"})
-		return
-	}
-	explicitID, err := extractCreateID(raw)
+	explicitID, err := scanCreateID(raw)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
@@ -274,19 +379,15 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if !rt.health.usable(shard) {
 			continue
 		}
-		body, err := rewriteCreateBody(raw, id)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-			return
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+"/v1/sessions", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+"/v1/sessions", bytes.NewReader(raw))
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
 			return
 		}
 		copyProxyHeaders(req.Header, r.Header)
 		req.Header.Set("Content-Type", "application/json")
-		req.ContentLength = int64(len(body))
+		req.Header.Set(schemaio.SessionIDHeader, id)
+		req.ContentLength = int64(len(raw))
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			rt.health.markFailure(shard)
@@ -429,11 +530,12 @@ func (rt *Router) streamSSE(w http.ResponseWriter, body io.Reader) {
 }
 
 // copyProxyHeaders forwards end-to-end headers, dropping hop-by-hop
-// ones (RFC 9110 §7.6.1).
+// ones (RFC 9110 §7.6.1) and the session-ID header: only the router
+// may name a minted ID to a shard, so a client's copy never passes.
 func copyProxyHeaders(dst, src http.Header) {
 	//ube:nondeterministic-ok HTTP headers are an unordered set per RFC 9110
 	for k, vs := range src {
-		if isHopByHop(k) || strings.EqualFold(k, "Host") {
+		if isHopByHop(k) || strings.EqualFold(k, "Host") || strings.EqualFold(k, schemaio.SessionIDHeader) {
 			continue
 		}
 		for _, v := range vs {

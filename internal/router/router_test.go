@@ -336,6 +336,111 @@ func TestRouterBinaryPassThrough(t *testing.T) {
 	}
 }
 
+// headerShard is a shard stand-in that records the session-ID header of
+// every request it receives and answers creates with 201.
+type headerShard struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (h *headerShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	_, _ = io.Copy(io.Discard, r.Body)
+	if r.URL.Path != "/healthz" {
+		h.mu.Lock()
+		h.seen = append(h.seen, r.Method+" "+r.URL.Path+" "+r.Header.Get(schemaio.SessionIDHeader))
+		h.mu.Unlock()
+	}
+	status := http.StatusOK
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" {
+		status = http.StatusCreated
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write([]byte(`{}`))
+}
+
+// TestRouterSessionIDHeaderHygiene proves a client cannot steer
+// placement through the shard-facing session-ID header: the router
+// strips a client's copy from every proxied request and sets it only on
+// the creates it mints.
+func TestRouterSessionIDHeaderHygiene(t *testing.T) {
+	send := func(base, method, path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(schemaio.SessionIDHeader, "victim")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+
+	// What the shard sees: the minted ID on a minted create, nothing on
+	// anything else, never the client's value.
+	rec := &headerShard{}
+	ts := httptest.NewServer(rec)
+	defer ts.Close()
+	_, base := startRouter(t, &shardFleet{urls: []string{ts.URL}}, Config{})
+	send(base, http.MethodPost, "/v1/sessions", `{"universe":{}}`)
+	send(base, http.MethodPost, "/v1/sessions", `{"universe":{},"id":"alpha"}`)
+	send(base, http.MethodPost, "/v1/sessions/alpha/solve", `{}`)
+	send(base, http.MethodGet, "/v1/sessions/alpha", ``)
+	want := []string{
+		"POST /v1/sessions g1",
+		"POST /v1/sessions ",
+		"POST /v1/sessions/alpha/solve ",
+		"GET /v1/sessions/alpha ",
+	}
+	if !reflect.DeepEqual(rec.seen, want) {
+		t.Fatalf("shard saw session-ID headers %q, want %q", rec.seen, want)
+	}
+
+	// End to end: the header neither names a session nor moves one, and
+	// it never turns a valid body id into a header/body mismatch.
+	u := testUniverse(t, testUniverseN)
+	fleet := startShards(t, 2, server.Config{})
+	rt, base := startRouter(t, fleet, Config{})
+	body, err := json.Marshal(map[string]any{"universe": u, "problem": testProblemDoc()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withID := range []bool{false, true} {
+		doc := string(body)
+		if withID {
+			doc = doc[:len(doc)-1] + `,"id":"chosen"}`
+		}
+		status, out := send(base, http.MethodPost, "/v1/sessions", doc)
+		if status != http.StatusCreated {
+			t.Fatalf("create (body id %v): %d %s", withID, status, out)
+		}
+		var info struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(out, &info); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case withID && info.ID != "chosen":
+			t.Errorf("create with body id: got session %q, want chosen", info.ID)
+		case !withID && (info.ID == "victim" || info.ID == "" || info.ID[0] != 'g'):
+			t.Errorf("create without body id: got session %q, want a minted g<N>", info.ID)
+		}
+		if resp := getJSON(t, rt.ring.Lookup(info.ID)+"/v1/sessions/"+info.ID, nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("session %q not on its ring shard: %d", info.ID, resp.StatusCode)
+		}
+	}
+	for _, shard := range fleet.urls {
+		if resp := getJSON(t, shard+"/v1/sessions/victim", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("client header created session victim on %s", shard)
+		}
+	}
+}
+
 // --- health: eject, readmit, kill ---
 
 // flakyShard is a minimal shard stand-in whose /healthz can be toggled;

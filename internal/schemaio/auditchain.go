@@ -154,7 +154,7 @@ func DecodeAuditChainLine(line []byte) (any, error) {
 	switch kind.K {
 	case AuditChainKindHeader:
 		var d AuditChainHeaderDoc
-		if err := decodeStrict(line, &d); err != nil {
+		if err := DecodeStrict(line, &d); err != nil {
 			return nil, fmt.Errorf("schemaio: audit chain header: %w", err)
 		}
 		if d.Doc != AuditChainDocName {
@@ -166,7 +166,7 @@ func DecodeAuditChainLine(line []byte) (any, error) {
 		return &d, nil
 	case AuditChainKindRecord:
 		var d AuditChainRecordDoc
-		if err := decodeStrict(line, &d); err != nil {
+		if err := DecodeStrict(line, &d); err != nil {
 			return nil, fmt.Errorf("schemaio: audit chain record: %w", err)
 		}
 		if err := d.validate(); err != nil {
@@ -175,7 +175,7 @@ func DecodeAuditChainLine(line []byte) (any, error) {
 		return &d, nil
 	case AuditChainKindBatch:
 		var d AuditChainBatchDoc
-		if err := decodeStrict(line, &d); err != nil {
+		if err := DecodeStrict(line, &d); err != nil {
 			return nil, fmt.Errorf("schemaio: audit chain batch: %w", err)
 		}
 		if err := d.validate(); err != nil {
@@ -190,7 +190,7 @@ func DecodeAuditChainLine(line []byte) (any, error) {
 // DecodeAuditProofBytes strictly parses a proof document.
 func DecodeAuditProofBytes(data []byte) (*AuditProofDoc, error) {
 	var d AuditProofDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: audit proof: %w", err)
 	}
 	if err := d.Validate(); err != nil {

@@ -37,7 +37,7 @@ func EncodeChurnRequest(muts []model.Mutation) ([]byte, error) {
 // DecodeChurnRequestBytes strictly parses a churn batch.
 func DecodeChurnRequestBytes(data []byte) ([]model.Mutation, error) {
 	var d ChurnRequestDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: churn request: %w", err)
 	}
 	if err := d.validate(); err != nil {
@@ -132,7 +132,7 @@ func EncodeWALChurn(d *WALChurnDoc) ([]byte, error) {
 // DecodeWALChurnBytes strictly parses a churn payload.
 func DecodeWALChurnBytes(data []byte) (*WALChurnDoc, error) {
 	var d WALChurnDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: wal churn payload: %w", err)
 	}
 	if err := d.validate(); err != nil {

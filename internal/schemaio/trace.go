@@ -117,7 +117,7 @@ func DecodeTrace(r io.Reader) (*trace.Trace, error) {
 		return nil, fmt.Errorf("schemaio: trace stream is empty")
 	}
 	var hdr TraceHeaderDoc
-	if err := decodeStrict(sc.Bytes(), &hdr); err != nil {
+	if err := DecodeStrict(sc.Bytes(), &hdr); err != nil {
 		return nil, fmt.Errorf("schemaio: trace header: %w", err)
 	}
 	if hdr.Doc != TraceDocName {
@@ -141,7 +141,7 @@ func DecodeTrace(r io.Reader) (*trace.Trace, error) {
 			return nil, fmt.Errorf("schemaio: trace truncated at span %d of %d", i, hdr.Spans)
 		}
 		var d SpanDoc
-		if err := decodeStrict(sc.Bytes(), &d); err != nil {
+		if err := DecodeStrict(sc.Bytes(), &d); err != nil {
 			return nil, fmt.Errorf("schemaio: trace span %d: %w", i, err)
 		}
 		sp, err := d.decode(int32(i))
@@ -188,18 +188,4 @@ func (d *SpanDoc) decode(line int32) (trace.Span, error) {
 		sp.Counts[c] = v
 	}
 	return sp, nil
-}
-
-// decodeStrict unmarshals one JSONL line rejecting unknown fields and
-// trailing tokens.
-func decodeStrict(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data on line")
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ package schemaio
 // malformed lifecycle records are all errors) and never panic.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -73,7 +72,7 @@ func EncodeWALRecord(d *WALRecordDoc) ([]byte, error) {
 // DecodeWALRecordBytes strictly parses one framed envelope.
 func DecodeWALRecordBytes(data []byte) (*WALRecordDoc, error) {
 	var d WALRecordDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: wal record: %w", err)
 	}
 	if err := d.validate(); err != nil {
@@ -144,7 +143,7 @@ func EncodeWALSolve(d *WALSolveDoc) ([]byte, error) {
 // DecodeWALSolveBytes strictly parses a solve payload.
 func DecodeWALSolveBytes(data []byte) (*WALSolveDoc, error) {
 	var d WALSolveDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: wal solve payload: %w", err)
 	}
 	if err := d.validate(); err != nil {
@@ -201,7 +200,7 @@ func EncodeSessionSnapshot(d *SessionSnapshotDoc) ([]byte, error) {
 // DecodeSessionSnapshotBytes strictly parses a snapshot payload.
 func DecodeSessionSnapshotBytes(data []byte) (*SessionSnapshotDoc, error) {
 	var d SessionSnapshotDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: session snapshot: %w", err)
 	}
 	if err := d.validate(); err != nil {
@@ -263,7 +262,7 @@ func EncodeWALCheckpoint(d *WALCheckpointDoc) ([]byte, error) {
 // DecodeWALCheckpointBytes strictly parses a checkpoint payload.
 func DecodeWALCheckpointBytes(data []byte) (*WALCheckpointDoc, error) {
 	var d WALCheckpointDoc
-	if err := decodeStrict(data, &d); err != nil {
+	if err := DecodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("schemaio: wal checkpoint: %w", err)
 	}
 	if err := d.validate(); err != nil {
@@ -282,14 +281,4 @@ func (d *WALCheckpointDoc) validate() error {
 		}
 	}
 	return nil
-}
-
-// CompactJSON canonicalizes raw JSON to its compact form — the form the
-// WAL and audit chain hash and store. It rejects invalid JSON.
-func CompactJSON(raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return nil, fmt.Errorf("schemaio: compacting JSON: %w", err)
-	}
-	return buf.Bytes(), nil
 }

@@ -173,15 +173,20 @@ func TestWALCheckpointDoc(t *testing.T) {
 	}
 }
 
-func TestCompactJSON(t *testing.T) {
-	got, err := CompactJSON([]byte(" {\n  \"a\": [1, 2]\n} "))
+// TestWALRecordCompactsData pins what lets the server write request
+// bodies ahead as they came: the record encoding embeds Data in its
+// compact form and refuses Data that is not JSON.
+func TestWALRecordCompactsData(t *testing.T) {
+	rec := &WALRecordDoc{Seq: 1, Type: WALTypeCreate, Session: "s1", Data: []byte(" {\n  \"a\": [1, 2]\n} ")}
+	got, err := EncodeWALRecord(rec)
 	if err != nil {
-		t.Fatalf("CompactJSON: %v", err)
+		t.Fatalf("EncodeWALRecord: %v", err)
 	}
-	if string(got) != `{"a":[1,2]}` {
-		t.Fatalf("CompactJSON = %s", got)
+	if want := `{"seq":1,"type":"session.create","session":"s1","data":{"a":[1,2]}}`; string(got) != want {
+		t.Fatalf("EncodeWALRecord = %s, want %s", got, want)
 	}
-	if _, err := CompactJSON([]byte(`{"a":`)); err == nil {
-		t.Error("CompactJSON accepted invalid JSON")
+	rec.Data = []byte(`{"a":`)
+	if _, err := EncodeWALRecord(rec); err == nil {
+		t.Error("EncodeWALRecord accepted Data that is not JSON")
 	}
 }

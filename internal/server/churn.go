@@ -54,13 +54,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	canon, err := canonicalBody(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
 	job := &solveJob{
-		raw:    canon,
+		raw:    raw,
 		ctx:    r.Context(),
 		remote: r.RemoteAddr,
 		churn:  muts,

@@ -43,7 +43,7 @@ import (
 // feedback edits do.
 type solveJob struct {
 	req       *solveRequest
-	raw       []byte          // canonical request bytes, for the WAL record
+	raw       []byte          // request bytes as decoded, for the WAL record
 	ctx       context.Context // the posting request's context
 	remote    string
 	iteration int              // history index this job will produce; set at execution

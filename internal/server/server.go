@@ -58,10 +58,6 @@ import (
 // bodies; the code exists for the audit trail and tests.
 const statusClientClosedRequest = 499
 
-// maxRequestBody bounds request bodies (universes can be large, but not
-// unbounded).
-const maxRequestBody = 64 << 20
-
 // Config sizes the service.
 type Config struct {
 	// Workers is the solve worker pool size. Default 2.
@@ -349,7 +345,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // readBody drains a bounded request body so the raw bytes can both be
 // decoded and written ahead to the WAL verbatim.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	data, err := schemaio.ReadBody(r.Body, r.ContentLength, schemaio.MaxBodyBytes)
+	if errors.Is(err, schemaio.ErrBodyTooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", schemaio.MaxBodyBytes)
+		return nil, false
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return nil, false
@@ -357,26 +357,22 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return data, true
 }
 
-// decodeBytes strictly decodes an already-read request body: unknown
-// fields are rejected, an empty body means all defaults.
-func decodeBytes(w http.ResponseWriter, data []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+// decodeBody strictly decodes an already-read request body into v —
+// unknown fields and trailing content are rejected, an empty body means
+// all defaults — and returns the bytes to write ahead: the body as it
+// came, or "{}" for an empty one. This decode is the body's only parse
+// on the shard. The WAL needs no canonical copy: its record encoding
+// compacts embedded bytes (json.RawMessage), so a pretty-printed body
+// and its compact form log identically.
+func decodeBody(w http.ResponseWriter, raw []byte, v any) ([]byte, bool) {
+	if len(bytes.TrimLeft(raw, " \t\r\n")) == 0 {
+		return []byte("{}"), true
+	}
+	if err := schemaio.DecodeStrict(raw, v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+		return nil, false
 	}
-	return true
-}
-
-// canonicalBody compacts a request body to the exact bytes the WAL
-// stores and replay re-decodes; an empty body canonicalizes to the
-// empty object it means.
-func canonicalBody(raw []byte) ([]byte, error) {
-	if len(bytes.TrimSpace(raw)) == 0 {
-		return []byte("{}"), nil
-	}
-	return schemaio.CompactJSON(raw)
+	return raw, true
 }
 
 // healthDoc is the /healthz body. Degraded reports a live but impaired
@@ -419,10 +415,11 @@ type createSessionRequest struct {
 	Schemas  string               `json:"schemas,omitempty"`
 	Problem  *schemaio.ProblemDoc `json:"problem,omitempty"`
 	// ID, when set, names the session instead of letting the server
-	// mint an ID. Routers use this to place a session under a key they
-	// chose on the hash ring; a stateless front can then route every
-	// later request for the session without a lookup table. Validated
-	// by validateSessionID; duplicates get 409.
+	// mint an ID. Routers place a session under a key they chose on the
+	// hash ring — the client's body id, or one they mint and send in
+	// the SessionIDHeader — so a stateless front can route every later
+	// request for the session without a lookup table. Validated by
+	// validateSessionID; duplicates get 409.
 	ID string `json:"id,omitempty"`
 }
 
@@ -517,13 +514,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createSessionRequest
-	if !decodeBytes(w, raw, &req) {
+	raw, ok = decodeBody(w, raw, &req)
+	if !ok {
 		return
 	}
-	canon, err := canonicalBody(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+	if id := r.Header.Get(schemaio.SessionIDHeader); id != "" {
+		if req.ID != "" && req.ID != id {
+			writeError(w, http.StatusBadRequest, "body id %q disagrees with the %s header %q", req.ID, schemaio.SessionIDHeader, id)
+			return
+		}
+		req.ID = id
 	}
 	if req.ID != "" {
 		if err := validateSessionID(req.ID); err != nil {
@@ -536,7 +536,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sn.createRaw = canon
+	sn.createRaw = raw
 
 	s.mu.Lock()
 	if s.draining {
@@ -566,7 +566,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// Write-ahead before acknowledging: a session the client was told
 	// about must exist again after a crash. On failure the registration
 	// is undone — the service never acknowledges more than it persisted.
-	if err := s.walAppend(schemaio.WALTypeCreate, sn.id, canon); err != nil {
+	if err := s.walAppend(schemaio.WALTypeCreate, sn.id, raw); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, sn.id)
 		s.mu.Unlock()
@@ -654,17 +654,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := &solveRequest{}
-	if !decodeBytes(w, raw, req) {
-		return
-	}
-	canon, err := canonicalBody(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	raw, ok = decodeBody(w, raw, req)
+	if !ok {
 		return
 	}
 	job := &solveJob{
 		req:    req,
-		raw:    canon,
+		raw:    raw,
 		ctx:    r.Context(),
 		remote: r.RemoteAddr,
 		done:   make(chan jobResult, 1),

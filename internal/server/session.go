@@ -27,9 +27,10 @@ type session struct {
 	eng     *engine.Engine
 	sess    *engine.Session // worker-only after the create handler returns
 	created time.Time
-	// createRaw is the canonical create-request bytes, immutable once
-	// set; snapshots embed them so recovery can rebuild the engine from
-	// the same input the live create handler saw.
+	// createRaw is the create-request bytes as the handler decoded them,
+	// immutable once set; snapshots embed them (compacted by the record
+	// encoding) so recovery can rebuild the engine from the same input
+	// the live create handler saw.
 	createRaw []byte
 	// universeFP keys the cross-session solve memo (solvecache.go);
 	// empty when the memo is disabled. Worker-context only after the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ube/internal/schemaio"
+	"ube/internal/wal"
 )
 
 // The server-side building blocks of sharded serving: client-supplied
@@ -245,5 +246,170 @@ func TestSolveCacheLRUBound(t *testing.T) {
 	}
 	if c.len() != 2 {
 		t.Errorf("cache len %d, want 2", c.len())
+	}
+}
+
+// postRaw posts body bytes as they are, with optional extra headers.
+func postRaw(t *testing.T, url string, body []byte, header map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range header {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// TestSessionIDHeader pins the router's create protocol: a minted ID in
+// SessionIDHeader names the session like a body id does, passes the
+// same validation (the reserved s<N> shape included), and a body id
+// that disagrees with it is refused.
+func TestSessionIDHeader(t *testing.T) {
+	u := testUniverse(t, 25)
+	_, ts := newTestServer(t, Config{})
+	body := func(id string) []byte {
+		data, err := json.Marshal(createSessionRequest{Universe: u, Problem: testProblemDoc(), ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, c := range []struct {
+		header, bodyID string
+		status         int
+		id             string
+	}{
+		{"g5", "", http.StatusCreated, "g5"},
+		{"g6", "g6", http.StatusCreated, "g6"},
+		{"g7", "other", http.StatusBadRequest, ""},
+		{"s7", "", http.StatusBadRequest, ""},
+		{"has space", "", http.StatusBadRequest, ""},
+		{"g5", "", http.StatusConflict, ""},
+	} {
+		resp, out := postRaw(t, ts.URL+"/v1/sessions", body(c.bodyID), map[string]string{schemaio.SessionIDHeader: c.header})
+		if resp.StatusCode != c.status {
+			t.Errorf("header %q, body id %q: %d %s, want %d", c.header, c.bodyID, resp.StatusCode, out, c.status)
+			continue
+		}
+		if c.id == "" {
+			continue
+		}
+		var info sessionInfo
+		if err := json.Unmarshal(out, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.ID != c.id {
+			t.Errorf("header %q, body id %q: session %q, want %q", c.header, c.bodyID, info.ID, c.id)
+		}
+	}
+}
+
+// TestTrailingContentRefused keeps trailing bytes after a request's
+// JSON value a 400 on every WAL-bound body: create, solve and churn.
+func TestTrailingContentRefused(t *testing.T) {
+	u := testUniverse(t, 25)
+	_, ts := newTestServer(t, Config{})
+	id := createSession(t, ts.URL, u, testProblemDoc())
+	create, err := json.Marshal(createSessionRequest{Universe: u, Problem: testProblemDoc()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := []byte(`{"mutations":[{"op":"remove","id":3}]}`)
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/sessions", create},
+		{http.MethodPost, "/v1/sessions/" + id + "/solve", []byte(`{}`)},
+		{http.MethodPatch, "/v1/sessions/" + id + "/universe", churn},
+	} {
+		// The last, empty tail is the control: the body alone succeeds.
+		for _, tail := range []string{`{}`, ` x`, ` }`, `]`, "\n{\"a\":1}", ""} {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(append(append([]byte(nil), c.body...), tail...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if tail == "" && resp.StatusCode >= 300 {
+				t.Errorf("%s %s without trailing content: %d %s", c.method, c.path, resp.StatusCode, out)
+			}
+			if tail != "" && resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s with trailing %q: %d %s, want 400", c.method, c.path, tail, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
+// TestCreateWALBytesCompactAndPretty proves a create body reaches the
+// WAL in its json.Compact form whether it arrives compact or
+// pretty-printed, and that both replay to the same session.
+func TestCreateWALBytesCompactAndPretty(t *testing.T) {
+	u := testUniverse(t, 25)
+	compact, err := json.Marshal(createSessionRequest{Universe: u, Problem: testProblemDoc(), ID: "p1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pretty, err := json.MarshalIndent(createSessionRequest{Universe: u, Problem: testProblemDoc(), ID: "p1"}, " ", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pretty = append(append([]byte("\r\n "), pretty...), "\n\n"...)
+	// The WAL envelope embeds the create bytes as a json.RawMessage,
+	// which json.Marshal re-emits compact.
+	want, err := json.Marshal(json.RawMessage(compact))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var histories [][]byte
+	for _, body := range [][]byte{compact, pretty} {
+		dir := t.TempDir()
+		_, ts, stop := openDurableServer(t, Config{WALDir: dir})
+		if resp, out := postRaw(t, ts.URL+"/v1/sessions", body, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d %s", resp.StatusCode, out)
+		}
+		solveWith(t, ts.URL, "p1", solveRequest{})
+		stop()
+
+		l, rec, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Records) == 0 || rec.Records[0].Type != schemaio.WALTypeCreate {
+			t.Fatalf("first WAL record is not a create: %+v", rec.Records)
+		}
+		if got := rec.Records[0].Data; !bytes.Equal(got, want) {
+			t.Errorf("WAL create Data differs from the compact form:\n got %.120s\nwant %.120s", got, want)
+		}
+
+		_, ts2, _ := openDurableServer(t, Config{WALDir: dir})
+		var h historyDoc
+		if resp := getJSON(t, ts2.URL+"/v1/sessions/p1/history", &h); resp.StatusCode != http.StatusOK || len(h.Iterations) != 1 {
+			t.Fatalf("recovered history: %d, %d iterations", resp.StatusCode, len(h.Iterations))
+		}
+		histories = append(histories, canonicalIterations(t, h.Iterations))
+	}
+	if !bytes.Equal(histories[0], histories[1]) {
+		t.Error("compact and pretty-printed creates replay to different sessions")
 	}
 }
