@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -9,12 +11,11 @@ import (
 	"ube/internal/ubedebug"
 )
 
-// This file implements the heap-agenda scheduling of Algorithm 1's merge
+// This file implements the agenda scheduling of Algorithm 1's merge
 // rounds. The legacy path (run in cluster.go) re-enumerates, re-scores and
-// re-sorts every candidate pair on every round, which the profile shows is
-// where solve time goes: O(rounds × pairs log pairs) with the pair scoring
-// itself repeated each round. The agenda path scores each pair exactly
-// once and carries it across rounds:
+// re-sorts every candidate pair on every round: O(rounds × pairs log
+// pairs) with the pair scoring itself repeated each round. The agenda
+// scores each pair exactly once and carries it across rounds:
 //
 //   - every pair is scored when one of its endpoints is created (at seed
 //     time, or when a merge gives birth to a cluster);
@@ -28,8 +29,9 @@ import (
 //   - only the fresh pairs — those involving a cluster born in the
 //     previous round — are sorted each round, into a second run that a
 //     two-pointer walk merges with the carried stream;
-//   - pairs that reference a merged or eliminated cluster are stale and
-//     are dropped on sight.
+//   - a pair is stale once an endpoint is eliminated: the walk drops it
+//     on sight, and the carry filter also drops pairs with a merged
+//     endpoint.
 //
 // The result is byte-identical to the legacy path (the differential test
 // in agenda_test.go proves it on random universes). The equivalence rests
@@ -49,90 +51,173 @@ import (
 //     slice-position order in every round, so the priority
 //     (sim desc, ordLo asc, ordHi asc) walks in the legacy order.
 //
-// Entries carry the endpoints' immutable ord ranks (for comparisons) and
-// their arena indices (to reach the cluster at processing time); they
-// deliberately hold no pointers, so copying them in sorts, heap sifts and
-// carry filters stays write-barrier-free.
-//
-// The similarity is stored as simKey(s), an integer whose ascending order
-// is exactly descending similarity, so every comparison in the sort, the
-// heap and the stream merge is a pure integer compare. With realistic
-// vocabularies most candidate pairs tie on similarity, making comparator
-// cost the dominant term of Match — float compares with branchy
-// tiebreaks measurably lose to this.
-type agendaEntry struct {
-	key        int64 // simKey(sim): ascending key = descending similarity
-	ordA, ordB int32 // walk priority tiebreak: endpoint ranks, ordA < ordB
-	idxA, idxB int32 // endpoints' slots in the cluster arena
-}
+// An entry is one uint64 (see pack): the similarity key in the top 30
+// bits, then the two endpoint ords, 17 bits each. Unsigned < on the word
+// is exactly the walk priority, so sorting a run is slices.Sort on
+// integers and the stream merge is one integer compare per step. With
+// realistic vocabularies most candidate pairs tie on similarity, so the
+// ord tiebreak is the common case, and it costs nothing extra here. An
+// ord doubles as the cluster's slot in the run's arena, so an entry
+// decodes straight back to its two clusters, and holds no pointer for
+// sorts and carries to pay GC write barriers on.
 
-// simKey maps a similarity in [0,1] to an integer whose ascending order
-// is descending similarity. IEEE-754 bit patterns of non-negative floats
-// are order-isomorphic to their values, so the mapping is exact: equal
-// sims share a key and distinct sims order strictly, preserving the
-// legacy walk order tie-for-tie.
-func simKey(sim float64) int64 {
-	return -int64(math.Float64bits(sim))
-}
+// Entry layout. A run with nSeed seed clusters numbers them nSeed,
+// nSeed+1, …, 2·nSeed−1, and a run makes at most nSeed−1 merges, each
+// newborn ranked below every ord so far, so every ord lies in
+// [1, 2·nSeed). ordBits covers that range for nSeed < MaxSlots, and
+// keyBits covers every simKey30 key (scores in [0,1]) and every rank key
+// of a run with fewer than 2^30 distinct similarities; reaching that takes
+// over 2^15 distinct names, whose ≈2^30 pairs rankSims would score.
+const (
+	keyBits  = 30
+	ordBits  = 17
+	ordMask  = 1<<ordBits - 1
+	keyShift = 2 * ordBits
+)
 
-// simKey30 is simKey for similarities that came out of a strsim.Table.
-// The table stores scores as float32, so the float32 bit pattern loses
-// nothing, and scores in [0,1] keep the pattern below 2^30 — small enough
-// for the seed queue to be radix-sorted in three 10-bit passes instead of
-// comparison-sorted. The key is bit-inverted so that, like simKey,
-// ascending key order is descending similarity.
-func simKey30(sim float64) int64 {
-	return int64(0x3FFFFFFF - math.Float32bits(float32(sim)))
-}
+// MaxSlots bounds the attribute slots of a candidate set: Match and Split
+// panic on a set with MaxSlots or more, since a run over that many seed
+// clusters cannot pack its agenda entries.
+const MaxSlots = 1 << (ordBits - 1)
 
-// entryBefore is the walk priority — the legacy sort order: similarity
-// descending, then the position ranks ascending. It is a strict total
-// order over distinct pairs, so walk order is unique.
-func entryBefore(x, y agendaEntry) bool {
-	switch {
-	case x.key != y.key:
-		return x.key < y.key
-	case x.ordA != y.ordA:
-		return x.ordA < y.ordA
-	default:
-		return x.ordB < y.ordB
+// checkSlots panics unless a set of n attribute slots fits the agenda
+// entry layout.
+func checkSlots(n int) {
+	if n >= MaxSlots {
+		panic(fmt.Errorf("cluster: %d attribute slots, the limit is %d", n, MaxSlots-1))
 	}
 }
 
-// entry builds an agenda entry with endpoints in ord order.
-func entry(a, b *workCluster, key int64) agendaEntry {
+// pack builds the agenda entry of a pair with similarity key key and
+// endpoint ords ordA < ordB. Every field has a fixed width and the key is
+// the most significant, so unsigned order on entries is lexicographic
+// order on (key, ordA, ordB).
+func pack(key uint32, ordA, ordB int32) uint64 {
+	e := uint64(key)<<keyShift | uint64(ordA)<<ordBits | uint64(ordB)
+	if ubedebug.Enabled {
+		a, b := unpack(e)
+		ubedebug.Assert(key < 1<<keyBits && 0 < ordA && ordA < ordB && ordB <= ordMask &&
+			uint32(e>>keyShift) == key && a == ordA && b == ordB,
+			"cluster: agenda entry (key %d, ords %d, %d) does not fit its packed layout", key, ordA, ordB)
+	}
+	return e
+}
+
+// unpack returns an entry's endpoint ords.
+func unpack(e uint64) (ordA, ordB int32) {
+	return int32(e >> ordBits & ordMask), int32(e & ordMask)
+}
+
+// simKey30 is the key of a similarity that came out of a strsim.Table.
+// The table stores scores as float32, so the float32 bit pattern loses
+// nothing, and IEEE-754 bit patterns of non-negative floats are
+// order-isomorphic to their values; scores in [0,1] keep the pattern
+// below 2^30. The key is bit-inverted so that ascending key order is
+// descending similarity: equal sims share a key and distinct sims order
+// strictly, preserving the legacy walk order tie-for-tie.
+func simKey30(sim float64) uint32 {
+	return 0x3FFFFFFF - math.Float32bits(float32(sim))
+}
+
+// rankSims returns, in descending order, the distinct similarities ≥ θ of
+// the name pairs in a run: the keys of a scorer that is not a
+// strsim.Table, whose float64 scores do not fit 30 bits. A cluster
+// similarity is a maximum over name pairs, and clusters only ever hold
+// the names their seeds carry, so every similarity the run keys is in the
+// list, and its index there is an exact order-isomorphic key. With an
+// adjacency index only neighbor pairs can reach θ; without one every
+// pair is scored, the same order of work as that path's all-pairs round
+// 1. Scorers are symmetric, so each unordered pair is scored once.
+func rankSims(clusters []*workCluster, owners [][]*workCluster, cfg Config, sc *Scratch) []float64 {
+	names := sc.names[:0]
+	for _, c := range clusters {
+		names = append(names, c.names...)
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	sims := sc.sims[:0]
+	for i, na := range names {
+		if owners == nil {
+			for _, nb := range names[i:] {
+				if s := cfg.Scores.Score(na, nb); s >= cfg.Theta {
+					sims = append(sims, s)
+				}
+			}
+			continue
+		}
+		for _, nb := range cfg.Neighbors[na] {
+			if nb >= na && len(owners[nb]) > 0 {
+				if s := cfg.Scores.Score(na, nb); s >= cfg.Theta {
+					sims = append(sims, s)
+				}
+			}
+		}
+	}
+	slices.SortFunc(sims, func(x, y float64) int { return cmp.Compare(y, x) })
+	sims = slices.Compact(sims)
+	sc.names, sc.sims = names, sims
+	return sims
+}
+
+// agenda is one run's entry codec: the arena that decodes an ord back to
+// its cluster, and the key of a similarity.
+type agenda struct {
+	arena  []*workCluster   // ord -> cluster
+	byRank bool             // the scorer is not a strsim.Table: key by rank in ranks
+	ranks  []float64        // rankSims of the run
+	owners [][]*workCluster // name ID -> clusters carrying it; nil without an adjacency index
+	cfg    Config
+}
+
+// entry packs the pair (a, b) with similarity s, endpoints in ord order.
+func (ag *agenda) entry(a, b *workCluster, s float64) uint64 {
 	if a.ord > b.ord {
 		a, b = b, a
 	}
-	return agendaEntry{key: key, ordA: a.ord, ordB: b.ord, idxA: a.idx, idxB: b.idx}
+	var key uint32
+	if ag.byRank {
+		key = ag.rankKey(s)
+	} else {
+		key = simKey30(s)
+	}
+	e := pack(key, a.ord, b.ord)
+	if ubedebug.Enabled {
+		oa, ob := unpack(e)
+		ubedebug.Assert(ag.arena[oa] == a && ag.arena[ob] == b,
+			"cluster: agenda entry for ords %d, %d decodes to other clusters", a.ord, b.ord)
+	}
+	return e
+}
+
+// rankKey is s's index in the run's descending similarity list.
+func (ag *agenda) rankKey(s float64) uint32 {
+	i, found := slices.BinarySearchFunc(ag.ranks, s, func(r, s float64) int { return cmp.Compare(s, r) })
+	if ubedebug.Enabled {
+		ubedebug.Assert(found, "cluster: similarity %v missing from the run's rank list", s)
+	}
+	return uint32(i)
 }
 
 // runAgenda executes the merge rounds of Algorithm 1 (lines 5–23) on the
 // sorted-run agenda. It produces the same cluster list, in the same order,
 // as run(). When preGathered is set, seedQ is the unsorted round-1 agenda
 // (from SeedPairs) and the seed enumeration is skipped; the gather only
-// happens with a matrix scorer, so its keys are simKey30 keys.
-func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, cfg Config, sc *Scratch) []*workCluster {
-	arena := sc.arena[:0]
+// happens with a strsim.Table scorer, so its keys are simKey30 keys.
+func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Config, sc *Scratch) []*workCluster {
+	nSeed := len(clusters)
+	if cap(sc.arena) < 2*nSeed {
+		sc.arena = make([]*workCluster, 2*nSeed)
+	}
+	ag := &agenda{arena: sc.arena[:2*nSeed], cfg: cfg}
+	arena := ag.arena
+	minOrd := int32(nSeed)
 	for i, c := range clusters {
-		c.ord = int32(i)
-		c.idx = int32(i)
+		c.ord = minOrd + int32(i)
 		c.mergedIn = 0
 		c.cand = false
 		c.gone = false
 		c.markBy = nil
-		arena = append(arena, c)
-	}
-
-	// Table scores (dense matrix or θ-sparse) are float32-exact,
-	// unlocking 30-bit keys and the radix seed sort; any other scorer
-	// uses full float64-bit keys and a comparison sort. Both key forms
-	// order identically to the similarity, so the walk is the same
-	// either way.
-	_, matrixKeys := cfg.Scores.(strsim.Table)
-	mkKey := simKey
-	if matrixKeys {
-		mkKey = simKey30
+		arena[c.ord] = c
 	}
 
 	// The round-1 pairs all involve newly created clusters, so scoring
@@ -140,8 +225,6 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 	// carried queue. Later rounds only sort their own fresh trickle —
 	// pairs involving a newborn — and merge it into the pre-sorted
 	// carried stream with a two-pointer walk.
-	nSeed := len(clusters)
-	var owners [][]*workCluster
 	if cfg.Neighbors != nil {
 		if cap(sc.owners) < len(cfg.Neighbors) {
 			sc.owners = make([][]*workCluster, len(cfg.Neighbors))
@@ -149,34 +232,37 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		// Every owners list is empty between runs, so only the names
 		// this run indexes need emptying again when it returns (a merge
 		// only unions names its seeds already carry).
-		owners = sc.owners[:len(cfg.Neighbors)]
+		ag.owners = sc.owners[:len(cfg.Neighbors)]
 		for _, c := range clusters {
 			for _, n := range c.names {
-				owners[n] = append(owners[n], c)
+				ag.owners[n] = append(ag.owners[n], c)
 			}
 		}
 	}
-	var queue []agendaEntry
-	spare := sc.spare
+	if _, table := cfg.Scores.(strsim.Table); !table {
+		ag.byRank = true
+		ag.ranks = rankSims(clusters, ag.owners, cfg, sc)
+	}
+	var queue []uint64
 	if preGathered {
 		queue = seedQ
 	} else {
 		queue = sc.queue[:0]
-		if owners != nil {
+		if ag.owners != nil {
 			for _, c := range clusters {
-				queue = appendPairsIndexed(queue, c, owners, cfg, mkKey, false)
+				queue = ag.appendIndexed(queue, c, false)
 			}
 		} else {
 			for i := 0; i < len(clusters); i++ {
 				for j := i + 1; j < len(clusters); j++ {
 					if s := clusterSim(clusters[i], clusters[j], cfg.Scores); s >= cfg.Theta {
-						queue = append(queue, entry(clusters[i], clusters[j], mkKey(s)))
+						queue = append(queue, ag.entry(clusters[i], clusters[j], s))
 					}
 				}
 			}
 		}
 	}
-	queue, spare = sortRun(queue, spare, 0, nSeed, matrixKeys, sc)
+	slices.Sort(queue)
 
 	// Work counters accumulate locally and flush once at the single
 	// return below, so the walk itself carries no atomics.
@@ -184,10 +270,12 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 	admitted := int64(len(queue))
 
 	fresh := sc.fresh[:0]
-	minOrd := int32(0)
 	pending := sc.pending[:0]
+	// The cluster list and the next round's newborns ping-pong between
+	// two buffers: a round's list is read until the next one is built.
+	spare := sc.born
 	for round := 1; ; round++ {
-		var born []*workCluster
+		born := spare[:0]
 		pending = pending[:0]
 
 		// Walk the round's pairs best-first by merging the two sorted
@@ -198,15 +286,16 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		qi, fi := 0, 0
 		for qi < len(queue) || fi < len(fresh) {
 			pops++
-			var e agendaEntry
-			if qi < len(queue) && (fi == len(fresh) || entryBefore(queue[qi], fresh[fi])) {
+			var e uint64
+			if qi < len(queue) && (fi == len(fresh) || queue[qi] < fresh[fi]) {
 				e = queue[qi]
 				qi++
 			} else {
 				e = fresh[fi]
 				fi++
 			}
-			a, b := arena[e.idxA], arena[e.idxB]
+			oa, ob := unpack(e)
+			a, b := arena[oa], arena[ob]
 			if a.gone || b.gone {
 				continue // stale: an endpoint was eliminated
 			}
@@ -216,8 +305,6 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				if disjointSources(a, b) {
 					u := sc.newCluster()
 					mergeInto(u, a, b, sc)
-					u.idx = int32(len(arena))
-					arena = append(arena, u)
 					born = append(born, u)
 					a.mergedIn, b.mergedIn = round, round
 				} else {
@@ -259,20 +346,19 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				c.gone = true
 			}
 		}
-		clusters = next
+		spare, clusters = clusters, next
 		if len(born) == 0 {
 			// Hand the working buffers back for the next run, with
 			// every owners list empty again.
-			if owners != nil {
-				for _, c := range arena[:nSeed] {
+			if ag.owners != nil {
+				for _, c := range arena[nSeed:] {
 					for _, n := range c.names {
-						owners[n] = owners[n][:0]
+						ag.owners[n] = ag.owners[n][:0]
 					}
 				}
 			}
-			sc.arena = arena
-			sc.queue, sc.pending, sc.fresh, sc.spare = queue, pending, fresh, spare
-			sc.list = clusters
+			sc.queue, sc.pending, sc.fresh = queue, pending, fresh
+			sc.list, sc.born = clusters, spare
 			cfg.Stats.Add(trace.CClusterRounds, int64(round))
 			cfg.Stats.Add(trace.CClusterPops, pops)
 			cfg.Stats.Add(trace.CClusterPairs, admitted)
@@ -285,7 +371,8 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		queue, pending = pending, queue
 		keep := queue[:0]
 		for _, e := range queue {
-			a, b := arena[e.idxA], arena[e.idxB]
+			oa, ob := unpack(e)
+			a, b := arena[oa], arena[ob]
 			if a.mergedIn == 0 && !a.gone && b.mergedIn == 0 && !b.gone {
 				keep = append(keep, e)
 			}
@@ -294,10 +381,11 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 
 		// Rank the newborns below every existing cluster, preserving
 		// their merge order, so ord-order keeps matching the legacy
-		// slice order.
+		// slice order, and give each the arena slot of its ord.
 		minOrd -= int32(len(born))
 		for i, c := range born {
 			c.ord = minOrd + int32(i)
+			arena[c.ord] = c
 		}
 
 		// Score only the fresh pairs: each newborn against every
@@ -306,173 +394,41 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		// walk. Newborns must all be indexed before any scoring so
 		// that born[i] can see born[j>i] through the owners lists.
 		fresh = fresh[:0]
-		if owners != nil {
+		if ag.owners != nil {
 			for _, c := range born {
 				for _, n := range c.names {
-					owners[n] = append(owners[n], c)
+					ag.owners[n] = append(ag.owners[n], c)
 				}
 			}
 			for _, c := range born {
-				fresh = appendPairsIndexed(fresh, c, owners, cfg, mkKey, true)
+				fresh = ag.appendIndexed(fresh, c, true)
 			}
 		} else {
 			for i, c := range born {
 				for _, x := range clusters[i+1:] {
 					if s := clusterSim(c, x, cfg.Scores); s >= cfg.Theta {
-						fresh = append(fresh, entry(c, x, mkKey(s)))
+						fresh = append(fresh, ag.entry(c, x, s))
 					}
 				}
 			}
 		}
-		fresh, spare = sortRun(fresh, spare, minOrd, nSeed-int(minOrd), matrixKeys, sc)
+		slices.Sort(fresh)
 		admitted += int64(len(fresh))
 	}
 }
 
-// sortRun sorts a batch of agenda entries into walk order — (key, ordA,
-// ordB) ascending — and returns the sorted slice plus the spare buffer
-// left over for the next call. In matrix mode the keys fit in 30 bits and
-// the batch's ords are dense in [ordLo, ordLo+nOrds), so a 5-pass stable
-// LSD counting sort (ordB, ordA, then three 10-bit key digits) replaces
-// the comparison sort for batches big enough to amortize the bucket
-// clears. The seed batch is the bulk of all pairs Match ever scores — on
-// the synthetic workload round 1 holds ~75% of the total pair volume —
-// and with heavily duplicated similarities a comparison sort spends most
-// of its time in tiebreaks, so the linear sort is where the agenda path's
-// headroom is.
-func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bool, sc *Scratch) (sorted, spare []agendaEntry) {
-	if !matrixKeys || len(queue) < 128 {
-		slices.SortFunc(queue, func(x, y agendaEntry) int {
-			switch {
-			case x.key != y.key:
-				if x.key < y.key {
-					return -1
-				}
-				return 1
-			case x.ordA != y.ordA:
-				return int(x.ordA - y.ordA)
-			default:
-				return int(x.ordB - y.ordB)
-			}
-		})
-		if ubedebug.Enabled {
-			checkSortedRun(queue)
-		}
-		return queue, scratch
-	}
-
-	const digitBits = 10
-	const digits = 1 << digitBits
-	if cap(scratch) < len(queue) {
-		scratch = make([]agendaEntry, len(queue))
-	}
-	src, dst := queue, scratch[:len(queue)]
-	if n := max(nOrds, digits); cap(sc.counts) < n {
-		sc.counts = make([]int32, n)
-	}
-	counts := sc.counts[:cap(sc.counts)]
-
-	// prefixSum turns the histogram into starting offsets.
-	prefixSum := func(cnt []int32) {
-		var sum int32
-		for i, c := range cnt {
-			cnt[i] = sum
-			sum += c
-		}
-	}
-
-	// Each pass is a stable counting sort on one field, least significant
-	// first. The loops are hand-unrolled per field rather than closing
-	// over an extractor function: an indirect call per element per pass
-	// would cost more than the sort itself at these sizes.
-
-	// Pass 1: ordB, offset to the dense [0, nOrds) bucket range.
-	cnt := counts[:nOrds]
-	clear(cnt)
-	for i := range src {
-		cnt[src[i].ordB-ordLo]++
-	}
-	prefixSum(cnt)
-	for i := range src {
-		d := src[i].ordB - ordLo
-		dst[cnt[d]] = src[i]
-		cnt[d]++
-	}
-	src, dst = dst, src
-
-	// Pass 2: ordA.
-	clear(cnt)
-	for i := range src {
-		cnt[src[i].ordA-ordLo]++
-	}
-	prefixSum(cnt)
-	for i := range src {
-		d := src[i].ordA - ordLo
-		dst[cnt[d]] = src[i]
-		cnt[d]++
-	}
-	src, dst = dst, src
-
-	// Passes 3–5: the 30-bit key, 10 bits at a time. Real workloads
-	// draw keys from a handful of distinct scores, so often every key
-	// agrees on the high digits — those passes reorder nothing and are
-	// skipped (a one-traversal scan buys up to two two-traversal
-	// passes).
-	var diff int32
-	k0 := int32(src[0].key)
-	for i := range src {
-		diff |= int32(src[i].key) ^ k0
-	}
-	maxShift := 3 * digitBits
-	switch {
-	case diff == 0:
-		maxShift = 0
-	case diff>>digitBits == 0:
-		maxShift = digitBits
-	case diff>>(2*digitBits) == 0:
-		maxShift = 2 * digitBits
-	}
-	cnt = counts[:digits]
-	for shift := 0; shift < maxShift; shift += digitBits {
-		clear(cnt)
-		for i := range src {
-			cnt[int32(src[i].key>>shift)&(digits-1)]++
-		}
-		prefixSum(cnt)
-		for i := range src {
-			d := int32(src[i].key>>shift) & (digits - 1)
-			dst[cnt[d]] = src[i]
-			cnt[d]++
-		}
-		src, dst = dst, src
-	}
-	if ubedebug.Enabled {
-		checkSortedRun(src)
-	}
-	return src, dst
-}
-
-// checkSortedRun asserts the sorted-run post-condition the merge walk
-// depends on: entries in walk order (key, ordA, ordB ascending). Only
-// reached under the ubedebug build tag.
-func checkSortedRun(run []agendaEntry) {
-	for i := 1; i < len(run); i++ {
-		ubedebug.Assert(!entryBefore(run[i], run[i-1]),
-			"cluster: sort run out of walk order at %d: %+v before %+v", i, run[i-1], run[i])
-	}
-}
-
-// appendPairsIndexed appends c's candidate pairs found through the ≥θ
-// name adjacency index, scoring only cluster pairs with a known
+// appendIndexed appends c's candidate pairs found through the ≥θ name
+// adjacency index, scoring only cluster pairs with a known
 // above-threshold name link (the same enumeration as
 // collectPairsIndexed). With skipDead set (mid-run, when the owners lists
 // may reference merged or eliminated clusters) dead partners are skipped
 // rather than compacted. The x.ord > c.ord filter pushes each pair from
 // its smaller-ord side exactly once — for that to cover newborn-newborn
 // pairs, all of a round's newborns must be indexed before any is scored.
-func appendPairsIndexed(out []agendaEntry, c *workCluster, owners [][]*workCluster, cfg Config, mkKey func(float64) int64, skipDead bool) []agendaEntry {
+func (ag *agenda) appendIndexed(out []uint64, c *workCluster, skipDead bool) []uint64 {
+	nbrs, owners, scores, theta := ag.cfg.Neighbors, ag.owners, ag.cfg.Scores, ag.cfg.Theta
 	for _, na := range c.names {
-		for _, nb := range cfg.Neighbors[na] {
+		for _, nb := range nbrs[na] {
 			for _, x := range owners[nb] {
 				if x.ord <= c.ord || x.markBy == c {
 					continue
@@ -481,8 +437,8 @@ func appendPairsIndexed(out []agendaEntry, c *workCluster, owners [][]*workClust
 					continue
 				}
 				x.markBy = c
-				if s := clusterSim(c, x, cfg.Scores); s >= cfg.Theta {
-					out = append(out, entry(c, x, mkKey(s)))
+				if s := clusterSim(c, x, scores); s >= theta {
+					out = append(out, ag.entry(c, x, s))
 				}
 			}
 		}

@@ -48,13 +48,60 @@ func buildNameIDs(u *model.Universe, sim *strsim.Cache) [][]int {
 	return ids
 }
 
-// TestAgendaMatchesLegacy is the differential property test required by
-// the issue: over seeded random universes, with and without the matrix
-// scorer / neighbors index / GA constraints / NameIDs precompute, the
-// heap-agenda Match must produce a Result byte-identical to the legacy
-// sorted-slice path.
+// TestAgendaMatchesLegacy is the differential property test: over seeded
+// random universes, with and without the matrix scorer / neighbors index /
+// GA constraints / NameIDs precompute, the agenda Match must produce a
+// Result byte-identical to the legacy sorted-slice path. The second pass
+// scores with LevenshteinRatio through the Cache, a scorer that is not a
+// strsim.Table and takes many distinct float64 values, so the agenda keys
+// its pairs by rank (see rankSims) — with and without an adjacency index.
 func TestAgendaMatchesLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(20240807))
+	agendaDifferential(t, 20240807, nil)
+	agendaDifferential(t, 17, strsim.LevenshteinRatio{})
+}
+
+// pairScores is a scorer over a fixed symmetric table of name-pair
+// scores; unlisted pairs score 0 and a name scores 1 with itself.
+type pairScores map[[2]int]float64
+
+func (p pairScores) Score(a, b int) float64 {
+	if a == b {
+		return 1
+	}
+	return p[[2]int{min(a, b), max(a, b)}]
+}
+
+// TestAgendaRankKeysSplitNearTies pins the case float32 keys would get
+// wrong: a scorer that is not a strsim.Table gives a's pairs with b and c
+// distinct scores that round to one float32. b and c share a source, so
+// only the better pair (a, c) may merge, although (a, b) comes first in
+// ord order.
+func TestAgendaRankKeysSplitNearTies(t *testing.T) {
+	u := mkUniverse([]string{"a"}, []string{"b", "c"})
+	sim := strsim.NewCache(nil)
+	a, b, c := sim.Intern("a"), sim.Intern("b"), sim.Intern("c")
+	scores := pairScores{{a, b}: 0.8 - 1e-12, {a, c}: 0.8}
+	if float32(scores[[2]int{a, b}]) != float32(scores[[2]int{a, c}]) {
+		t.Fatal("the two scores must round to one float32")
+	}
+	cfg := Config{Theta: 0.5, Beta: 2, Sim: sim, Scores: scores}
+	legacy := cfg
+	legacy.LegacyAgenda = true
+	want := Match(u, allSources(u), nil, nil, legacy)
+	got := Match(u, allSources(u), nil, nil, cfg)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("legacy %+v\nagenda %+v", want, got)
+	}
+	if ga := want.Schema.GAs; len(ga) != 1 || !ga[0].ContainsAll(model.NewGA(model.AttrRef{Source: 1, Attr: 1})) {
+		t.Fatalf("want the one GA {a, c}, got %v", ga)
+	}
+}
+
+// agendaDifferential runs 200 seeded trials of the agenda-vs-legacy
+// differential with names scored by measure (nil: the Cache default).
+func agendaDifferential(t *testing.T, seed int64, measure strsim.Measure) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
 	// One scratch reused across many trials (when drawn): reuse must be
 	// invisible — stale buffer contents must never leak into a Result.
 	shared := &Scratch{}
@@ -76,7 +123,7 @@ func TestAgendaMatchesLegacy(t *testing.T) {
 		theta := 0.4 + r.Float64()*0.55
 		beta := 2 + r.Intn(2)
 
-		base := Config{Theta: theta, Beta: beta, Sim: strsim.NewCache(nil)}
+		base := Config{Theta: theta, Beta: beta, Sim: strsim.NewCache(measure)}
 		indexed := r.Intn(2) == 0
 		seedIdx := false
 		if indexed {
@@ -85,12 +132,17 @@ func TestAgendaMatchesLegacy(t *testing.T) {
 					base.Sim.Intern(a)
 				}
 			}
-			m := mustMatrix(base.Sim)
-			base.Scores = m
-			base.Neighbors = m.Neighbors(theta)
-			if r.Intn(2) == 0 {
-				base.Seed = BuildSeedPairs(u, buildNameIDs(u, base.Sim), base.Neighbors, m, theta)
-				seedIdx = base.Seed != nil
+			if measure != nil && r.Intn(2) == 0 {
+				// Rank keys behind an adjacency index.
+				base.Neighbors = exactNeighbors(base.Sim, theta)
+			} else {
+				m := mustMatrix(base.Sim)
+				base.Scores = m
+				base.Neighbors = m.Neighbors(theta)
+				if r.Intn(2) == 0 {
+					base.Seed = BuildSeedPairs(u, buildNameIDs(u, base.Sim), base.Neighbors, m, theta)
+					seedIdx = base.Seed != nil
+				}
 			}
 		}
 		if r.Intn(2) == 0 {
@@ -125,6 +177,72 @@ func TestAgendaMatchesLegacy(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (n=%d θ=%.3f β=%d indexed=%v seedIdx=%v G=%v S=%v):\nlegacy: %+v\nagenda: %+v",
 				trial, n, theta, beta, indexed, seedIdx, G, S, want, got)
+		}
+	}
+}
+
+// exactNeighbors lists, for every interned name, the names scoring ≥ θ
+// under the cache itself: an adjacency index for a scorer that is not a
+// strsim.Table.
+func exactNeighbors(sim *strsim.Cache, theta float64) [][]int {
+	out := make([][]int, sim.Len())
+	for a := range out {
+		for b := range out {
+			if sim.Score(a, b) >= theta {
+				out[a] = append(out[a], b)
+			}
+		}
+	}
+	return out
+}
+
+// TestAgendaEntryOrder checks the packed entry layout: over random and
+// extreme (key, ordA, ordB) triples — keys 0 and 2^30−1, ords at
+// ±(nSeed−1) before the offset — unsigned order on packed entries must be
+// lexicographic order on the triples, and an entry must decode to its
+// ords.
+func TestAgendaEntryOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	type triple struct {
+		key  uint32
+		a, b int32
+	}
+	for _, nSeed := range []int{2, 3, 127, 1000, MaxSlots - 1} {
+		bias, span := int32(nSeed), int32(nSeed-1)
+		var ts []triple
+		add := func(key uint32, a, b int32) {
+			if a > b {
+				a, b = b, a
+			}
+			if a != b {
+				ts = append(ts, triple{key, a + bias, b + bias})
+			}
+		}
+		keys := []uint32{0, 1, 1<<keyBits - 2, 1<<keyBits - 1}
+		ords := []int32{-span, min(-span+1, span), -1, 0, 1, max(span-1, -span), span}
+		for _, k := range keys {
+			for _, a := range ords {
+				for _, b := range ords {
+					add(k, a, b)
+				}
+			}
+		}
+		ord := func() int32 { return -span + int32(r.Intn(2*nSeed-1)) }
+		for i := 0; i < 200; i++ {
+			add(uint32(r.Intn(1<<keyBits)), ord(), ord())
+			add(keys[r.Intn(len(keys))], ord(), ord()) // ties on the key
+		}
+		for _, x := range ts {
+			px := pack(x.key, x.a, x.b)
+			if a, b := unpack(px); a != x.a || b != x.b || uint32(px>>keyShift) != x.key {
+				t.Fatalf("nSeed %d: %+v packs to %#x, which decodes to key %d, ords %d, %d", nSeed, x, px, px>>keyShift, a, b)
+			}
+			for _, y := range ts {
+				want := x.key < y.key || x.key == y.key && (x.a < y.a || x.a == y.a && x.b < y.b)
+				if got := px < pack(y.key, y.a, y.b); got != want {
+					t.Fatalf("nSeed %d: packed %+v < %+v is %v, lexicographic order says %v", nSeed, x, y, got, want)
+				}
+			}
 		}
 	}
 }

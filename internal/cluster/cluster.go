@@ -71,7 +71,7 @@ type Config struct {
 	Seed *SeedPairs
 	// LegacyAgenda selects the seed implementation of the merge rounds
 	// (re-enumerate, re-score and fully sort all candidate pairs every
-	// round) instead of the heap agenda (see agenda.go). The two are
+	// round) instead of the agenda (see agenda.go). The two are
 	// byte-identical in output; the flag exists for differential tests
 	// and ablations.
 	LegacyAgenda bool
@@ -132,13 +132,11 @@ type workCluster struct {
 	keep  bool  // seeded by a GA constraint: never eliminated
 	grown bool  // created by a merge in some round
 
-	// Heap-agenda state (agenda.go). ord is a stable rank reproducing
-	// the legacy slice-position order; idx is the cluster's slot in the
-	// arena (so agenda entries can be pointer-free — a pointer-bearing
-	// entry type makes every sort swap and heap sift pay a GC write
-	// barrier, which dominates the profile); the rest is round status.
+	// Agenda state (agenda.go). ord is a stable rank reproducing the
+	// legacy slice-position order, and the cluster's slot in the run's
+	// arena, so a packed agenda entry decodes to its two clusters; the
+	// rest is round status.
 	ord      int32
-	idx      int32
 	mergedIn int          // round this cluster was merged away in (0 = alive)
 	cand     bool         // merge candidate this round (survives elimination)
 	gone     bool         // eliminated
@@ -166,7 +164,7 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 	if cfg.LegacyAgenda {
 		clusters = run(clusters, cfg)
 	} else {
-		var seedQ []agendaEntry
+		var seedQ []uint64
 		preGathered := seedCompatible(cfg.Seed, S, G, cfg)
 		if preGathered {
 			seedQ = gatherSeed(u, S, cfg.Seed, sc.queue[:0])
@@ -191,6 +189,7 @@ func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*
 	for _, id := range S {
 		nSlots += len(u.Source(id).Attributes)
 	}
+	checkSlots(nSlots)
 	sc.reset(len(G)+nSlots, nSlots)
 	clusters := sc.list[:0]
 	var inConstraint map[model.AttrRef]struct{}

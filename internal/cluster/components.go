@@ -134,6 +134,7 @@ func Split(u *model.Universe, S []int, G []model.GA, cfg Config) *Components {
 			cs.slots = append(cs.slots, slotRec{ref: r, name: n})
 		}
 	}
+	checkSlots(len(cs.slots))
 	cs.partition()
 	return cs
 }

@@ -103,8 +103,8 @@ func randomConstraints(r *rand.Rand, u *model.Universe, S []int) []model.GA {
 // caseConfigs returns the component path's configuration (dense matrix,
 // θ adjacency, precomputed name IDs, a shared scratch) and the oracle's:
 // whole-set Match on the legacy agenda over the same scores.
-func caseConfigs(c componentCase, sc *Scratch, indexed bool) (cfg, oracle Config) {
-	sim := strsim.NewCache(nil)
+func caseConfigs(c componentCase, sc *Scratch, indexed bool, measure strsim.Measure) (cfg, oracle Config) {
+	sim := strsim.NewCache(measure)
 	ids := buildNameIDs(c.u, sim)
 	cfg = Config{Theta: c.theta, Beta: c.beta, Sim: sim, Scratch: sc}
 	if indexed {
@@ -143,7 +143,7 @@ func TestComponentsMatchWholeSet(t *testing.T) {
 	var withG, invalid, multi int
 	for trial := 0; trial < 600; trial++ {
 		c := randomCase(r)
-		cfg, oracle := caseConfigs(c, sc, trial%4 != 0)
+		cfg, oracle := caseConfigs(c, sc, trial%4 != 0, nil)
 		checkComponentCase(t, "trial "+strconv.Itoa(trial), c, cfg, oracle, nil)
 		if len(c.G) > 0 {
 			withG++
@@ -170,7 +170,7 @@ func TestComponentMemoIsExact(t *testing.T) {
 	for walk := 0; walk < 40; walk++ {
 		c := randomCase(r)
 		n := c.u.N()
-		cfg, oracle := caseConfigs(c, &Scratch{}, true)
+		cfg, oracle := caseConfigs(c, &Scratch{}, true, nil)
 		memo := map[string]*Part{}
 		req := model.NewSourceSet(n)
 		for _, g := range c.G {
@@ -203,13 +203,19 @@ func TestComponentMemoIsExact(t *testing.T) {
 // parameters, and a second set one move away that shares most of the
 // first one's components. Composing the components — the second set
 // reusing the first set's Parts by key — must equal whole-set Match on
-// the legacy agenda for both sets.
+// the legacy agenda for both sets. mode picks the scorer: bit 0 drops the
+// dense matrix and adjacency index (the whole set is one component,
+// scored through the Cache, so the agenda keys pairs by rank), bit 1
+// scores with LevenshteinRatio instead of the default n-gram measure.
 func FuzzMatchComponents(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(2), uint8(0))
-	f.Add(int64(7), uint8(14), uint8(1), uint8(3))
-	f.Add(int64(42), uint8(19), uint8(4), uint8(1))
-	f.Add(int64(-3), uint8(2), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, size, thetaSel, betaSel uint8) {
+	f.Add(int64(1), uint8(6), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(14), uint8(1), uint8(3), uint8(0))
+	f.Add(int64(42), uint8(19), uint8(4), uint8(1), uint8(0))
+	f.Add(int64(-3), uint8(2), uint8(0), uint8(2), uint8(0))
+	f.Add(int64(11), uint8(12), uint8(2), uint8(1), uint8(1))
+	f.Add(int64(5), uint8(17), uint8(1), uint8(0), uint8(2))
+	f.Add(int64(23), uint8(9), uint8(3), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, size, thetaSel, betaSel, mode uint8) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + int(size)%20
 		c := componentCase{
@@ -229,7 +235,11 @@ func FuzzMatchComponents(f *testing.F) {
 		if r.Intn(3) == 0 {
 			c.C = []int{c.S[r.Intn(len(c.S))]}
 		}
-		cfg, oracle := caseConfigs(c, &Scratch{}, true)
+		var measure strsim.Measure
+		if mode&2 != 0 {
+			measure = strsim.LevenshteinRatio{}
+		}
+		cfg, oracle := caseConfigs(c, &Scratch{}, mode&1 == 0, measure)
 		memo := map[string]*Part{}
 		checkComponentCase(t, "first set", c, cfg, oracle, memo)
 

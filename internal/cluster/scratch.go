@@ -18,14 +18,15 @@ type Scratch struct {
 	attrs []model.AttrRef // backing for singleton attr slices
 	ints  []int           // backing for singleton source/name slices
 
-	arena   []*workCluster   // agenda: cluster index -> cluster
+	arena   []*workCluster   // agenda: ord -> cluster
 	list    []*workCluster   // the evolving cluster list
+	born    []*workCluster   // agenda: the list's ping-pong partner
 	owners  [][]*workCluster // agenda: name ID -> clusters carrying it
-	queue   []agendaEntry    // agenda: carried pair run
-	pending []agendaEntry    // agenda: next round's carried run
-	fresh   []agendaEntry    // agenda: newborn pair run
-	spare   []agendaEntry    // agenda: radix ping-pong buffer
-	counts  []int32          // agenda: radix histogram
+	queue   []uint64         // agenda: carried pair run
+	pending []uint64         // agenda: next round's carried run
+	fresh   []uint64         // agenda: newborn pair run
+	names   []int            // agenda: a run's distinct names (rankSims)
+	sims    []float64        // agenda: a run's rank keys (rankSims)
 
 	split Components // Split's result and working memory
 }

@@ -37,7 +37,7 @@ type SeedPairs struct {
 // attribute indices and the pair's similarity as a simKey30 key. 8 bytes,
 // so a gather streams groups at memory speed.
 type seedPair struct {
-	key          int32
+	key          uint32
 	attrA, attrB int16
 }
 
@@ -78,7 +78,7 @@ func BuildSeedPairs(u *model.Universe, nameIDs [][]int, neighbors [][]int, score
 	// so no pair is reachable via two name links.
 	sp := &SeedPairs{start: make([]int32, nSrc*nSrc+1), nSrc: nSrc, scores: m, theta: theta}
 	counts := sp.start[1:]
-	forEachPair := func(emit func(group int32, key int32, attrA, attrB int16)) {
+	forEachPair := func(emit func(group int32, key uint32, attrA, attrB int16)) {
 		for s := 0; s < nSrc; s++ {
 			row := int32(s * nSrc)
 			for a, na := range nameIDs[s] {
@@ -87,7 +87,7 @@ func BuildSeedPairs(u *model.Universe, nameIDs [][]int, neighbors [][]int, score
 					if score < theta {
 						continue
 					}
-					key := int32(simKey30(score))
+					key := simKey30(score)
 					for _, t := range owners[nb] {
 						if int(t.src) < s || (int(t.src) == s && int(t.attr) <= a) {
 							continue
@@ -98,7 +98,7 @@ func BuildSeedPairs(u *model.Universe, nameIDs [][]int, neighbors [][]int, score
 			}
 		}
 	}
-	forEachPair(func(group, _ int32, _, _ int16) { counts[group]++ })
+	forEachPair(func(group int32, _ uint32, _, _ int16) { counts[group]++ })
 	// Each counts entry becomes its group's start; the records pass below
 	// advances it to the group's end, which is start[g+1] in the shifted
 	// view.
@@ -107,7 +107,7 @@ func BuildSeedPairs(u *model.Universe, nameIDs [][]int, neighbors [][]int, score
 		counts[g], sum = sum, sum+n
 	}
 	sp.pairs = make([]seedPair, sum)
-	forEachPair(func(group, key int32, attrA, attrB int16) {
+	forEachPair(func(group int32, key uint32, attrA, attrB int16) {
 		sp.pairs[counts[group]] = seedPair{key: key, attrA: attrA, attrB: attrB}
 		counts[group]++
 	})
@@ -138,16 +138,19 @@ func seedCompatible(sp *SeedPairs, S []int, G []model.GA, cfg Config) bool {
 	return true
 }
 
-// gatherSeed appends the round-1 agenda of subset S to out (unsorted;
-// runAgenda radix-sorts it into walk order). Seed ords equal arena
-// indices (runAgenda numbers the initial clusters 0..n), so ords double
-// as idx fields.
-func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, out []agendaEntry) []agendaEntry {
+// gatherSeed appends the round-1 agenda of subset S to out, unsorted
+// (runAgenda sorts it into walk order). With no GA constraints the seeds
+// are the slots of S in order, and runAgenda numbers seed i with ord
+// nSeed+i, so a slot's ord is the slot count of S plus its position.
+func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, out []uint64) []uint64 {
 	bases := make([]int32, len(S))
 	ord := int32(0)
 	for i, s := range S {
 		bases[i] = ord
 		ord += int32(len(u.Source(s).Attributes))
+	}
+	for i := range bases {
+		bases[i] += ord
 	}
 	for i, si := range S {
 		row := si * sp.nSrc
@@ -160,8 +163,7 @@ func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, out []agendaEntry) []
 			}
 			bj := bases[j]
 			for _, p := range sp.pairs[lo:hi] {
-				oa, ob := bi+int32(p.attrA), bj+int32(p.attrB)
-				out = append(out, agendaEntry{key: int64(p.key), ordA: oa, ordB: ob, idxA: oa, idxB: ob})
+				out = append(out, pack(p.key, bi+int32(p.attrA), bj+int32(p.attrB)))
 			}
 		}
 	}

@@ -334,7 +334,35 @@ func (e *Engine) validate(p *Problem) error {
 	if req := p.Constraints.ImpliedSources(); len(req) > p.MaxSources {
 		return fmt.Errorf("engine: constraints imply %d sources, more than m = %d", len(req), p.MaxSources)
 	}
+	if n := e.maxSlots(p.MaxSources); n >= cluster.MaxSlots {
+		return fmt.Errorf("engine: the %d largest sources carry %d attribute slots, clustering takes fewer than %d", p.MaxSources, n, cluster.MaxSlots)
+	}
 	return nil
+}
+
+// maxSlots bounds the attribute slots of any m-source candidate set: the
+// slots of the m largest sources. That is the largest θ-component a solve
+// can cluster, since without an adjacency index the whole set is one
+// component. When the universe as a whole has fewer than
+// cluster.MaxSlots slots, it returns that total instead.
+func (e *Engine) maxSlots(m int) int {
+	total := 0
+	for i := 0; i < e.u.N(); i++ {
+		total += len(e.u.Source(i).Attributes)
+	}
+	if total < cluster.MaxSlots {
+		return total
+	}
+	sizes := make([]int, e.u.N())
+	for i := range sizes {
+		sizes[i] = len(e.u.Source(i).Attributes)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	n := 0
+	for _, s := range sizes[:m] {
+		n += s
+	}
+	return n
 }
 
 // buildQEFs assembles the QEF list for a problem: the data QEFs, one

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"ube/internal/cluster"
 	"ube/internal/model"
 	"ube/internal/qef"
 	"ube/internal/search"
@@ -152,6 +155,36 @@ func TestSolveValidation(t *testing.T) {
 		if _, err := e.Solve(p); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
+	}
+
+	// Too many attribute slots to cluster: the three largest of these
+	// sources carry cluster.MaxSlots slots between them, so a solve at
+	// m = 3 is refused with an error rather than a clustering panic,
+	// while m = 2 stays within the bound.
+	names := make([]string, cluster.MaxSlots/4)
+	for i := range names {
+		names[i] = "field " + strconv.Itoa(i)
+	}
+	big := &model.Universe{}
+	for s, n := range []int{len(names), len(names), 2 * len(names), 1} {
+		var attrs []string
+		for k := 0; k < n; k++ {
+			attrs = append(attrs, names[k%len(names)]+strings.Repeat("x", k/len(names)))
+		}
+		big.Sources = append(big.Sources, model.Source{ID: s, Name: "s" + strconv.Itoa(s), Attributes: attrs, Cardinality: 10})
+	}
+	eb, err := New(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultProblem()
+	p.MaxSources = 3
+	if _, err := eb.Solve(&p); err == nil || !strings.Contains(err.Error(), "attribute slots") {
+		t.Errorf("%d-slot problem: Solve = %v, want an attribute-slot error", eb.maxSlots(3), err)
+	}
+	p.MaxSources = 2
+	if err := eb.validate(&p); err != nil {
+		t.Errorf("%d-slot problem refused: %v", eb.maxSlots(2), err)
 	}
 }
 

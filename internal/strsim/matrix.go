@@ -4,7 +4,8 @@ import "fmt"
 
 // A Scorer scores similarity between two interned attribute names. Cache
 // implements Scorer with lazy memoization; Matrix implements it with a
-// precomputed dense table for the hot clustering loop.
+// precomputed dense table for the hot clustering loop. Scores must be
+// symmetric: Score(a, b) == Score(b, a).
 type Scorer interface {
 	Score(a, b int) float64
 }
@@ -13,9 +14,9 @@ type Scorer interface {
 // interned vocabulary whose every result is an exact float32 value —
 // either stored as float32 (Matrix, SparseScores rows) or explicitly
 // rounded through float32 (the SparseScores fallback). The clustering
-// agenda gates its 30-bit radix sort keys and the seed-pair fast path
-// on this property, so only scorers that guarantee it implement the
-// marker.
+// agenda keys a pair by its score's float32 bit pattern, and gates the
+// seed-pair fast path, on this property, so only scorers that guarantee
+// it implement the marker.
 type Table interface {
 	Scorer
 	// Len reports the number of names the table covers.

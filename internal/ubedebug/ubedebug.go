@@ -13,8 +13,9 @@
 //	}
 //
 // The checks wired through this package: PCSA register bounds
-// (pcsa.AddHash), clustering agenda sorted-run ordering
-// (cluster.sortRun), incumbent snapshot immutability via checksum
+// (pcsa.AddHash), clustering agenda entry packing — every field fits
+// its bits and an entry decodes to the clusters it was packed from
+// (cluster.pack, agenda.entry), incumbent snapshot immutability via checksum
 // (qef.Snapshot/EvalAdd), and the sampled delta≡full objective audit
 // (engine.deltaObjective). Run them with:
 //
