@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"ube/internal/strsim"
-	"ube/internal/trace"
 	"ube/internal/ubedebug"
 )
 
@@ -169,16 +168,12 @@ type agenda struct {
 	cfg    Config
 }
 
-// entry packs the pair (a, b) with similarity s, endpoints in ord order.
-func (ag *agenda) entry(a, b *workCluster, s float64) uint64 {
+// entry packs the pair (a, b) with agenda key key, endpoints in ord
+// order. It and key stay small enough to inline: they run once per
+// admitted pair.
+func (ag *agenda) entry(a, b *workCluster, key uint32) uint64 {
 	if a.ord > b.ord {
 		a, b = b, a
-	}
-	var key uint32
-	if ag.byRank {
-		key = ag.rankKey(s)
-	} else {
-		key = simKey30(s)
 	}
 	e := pack(key, a.ord, b.ord)
 	if ubedebug.Enabled {
@@ -187,6 +182,15 @@ func (ag *agenda) entry(a, b *workCluster, s float64) uint64 {
 			"cluster: agenda entry for ords %d, %d decodes to other clusters", a.ord, b.ord)
 	}
 	return e
+}
+
+// key is similarity s's agenda key: simKey30 for a strsim.Table scorer,
+// its rank otherwise.
+func (ag *agenda) key(s float64) uint32 {
+	if ag.byRank {
+		return ag.rankKey(s)
+	}
+	return simKey30(s)
 }
 
 // rankKey is s's index in the run's descending similarity list.
@@ -256,7 +260,7 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			for i := 0; i < len(clusters); i++ {
 				for j := i + 1; j < len(clusters); j++ {
 					if s := clusterSim(clusters[i], clusters[j], cfg.Scores); s >= cfg.Theta {
-						queue = append(queue, ag.entry(clusters[i], clusters[j], s))
+						queue = append(queue, ag.entry(clusters[i], clusters[j], ag.key(s)))
 					}
 				}
 			}
@@ -359,9 +363,9 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			}
 			sc.queue, sc.pending, sc.fresh = queue, pending, fresh
 			sc.list, sc.born = clusters, spare
-			cfg.Stats.Add(trace.CClusterRounds, int64(round))
-			cfg.Stats.Add(trace.CClusterPops, pops)
-			cfg.Stats.Add(trace.CClusterPairs, admitted)
+			sc.rounds += int64(round)
+			sc.pops += pops
+			sc.pairs += admitted
 			return clusters
 		}
 
@@ -407,7 +411,7 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			for i, c := range born {
 				for _, x := range clusters[i+1:] {
 					if s := clusterSim(c, x, cfg.Scores); s >= cfg.Theta {
-						fresh = append(fresh, ag.entry(c, x, s))
+						fresh = append(fresh, ag.entry(c, x, ag.key(s)))
 					}
 				}
 			}
@@ -438,7 +442,7 @@ func (ag *agenda) appendIndexed(out []uint64, c *workCluster, skipDead bool) []u
 				}
 				x.markBy = c
 				if s := clusterSim(c, x, scores); s >= theta {
-					out = append(out, ag.entry(c, x, s))
+					out = append(out, ag.entry(c, x, ag.key(s)))
 				}
 			}
 		}

@@ -152,7 +152,6 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 		panic(err) // configuration is programmer-controlled
 	}
 
-	cfg.Stats.Add(trace.CMatchRuns, 1)
 	if cfg.Scores == nil {
 		cfg.Scores = cfg.Sim
 	}
@@ -160,6 +159,7 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 	if sc == nil {
 		sc = &Scratch{}
 	}
+	sc.runs++
 	clusters := seed(u, S, G, cfg, sc)
 	if cfg.LegacyAgenda {
 		clusters = run(clusters, cfg)
@@ -171,6 +171,7 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 		}
 		clusters = runAgenda(clusters, seedQ, preGathered, cfg, sc)
 	}
+	sc.flush(cfg.Stats)
 	return assemble(clusters, C, G, cfg)
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"ube/internal/model"
-	"ube/internal/trace"
 )
 
 // This file evaluates Match(S) one θ-component at a time. Link two
@@ -337,7 +336,7 @@ func (cs *Components) Part(i int) *Part { return cs.parts[i] }
 func (cs *Components) Match(idx []int) {
 	cfg, sc := cs.cfg, cs.cfg.Scratch
 	for _, k := range idx {
-		cfg.Stats.Add(trace.CMatchRuns, 1)
+		sc.runs++
 		clusters := cs.seed(k, sc)
 		if cfg.LegacyAgenda {
 			clusters = run(clusters, cfg)
@@ -346,6 +345,7 @@ func (cs *Components) Match(idx []int) {
 		}
 		cs.parts[k] = assemblePart(clusters, cs.G, cfg)
 	}
+	sc.flush(cfg.Stats)
 }
 
 // seed builds component k's initial clusters in the relative order

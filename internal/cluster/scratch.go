@@ -1,6 +1,9 @@
 package cluster
 
-import "ube/internal/model"
+import (
+	"ube/internal/model"
+	"ube/internal/trace"
+)
 
 // Scratch is Match's reusable working memory. The clustering loop is run
 // thousands of times per solve on small, short-lived structures — seed
@@ -29,6 +32,21 @@ type Scratch struct {
 	sims    []float64        // agenda: a run's rank keys (rankSims)
 
 	split Components // Split's result and working memory
+
+	// Work counts of the agenda runs since the last flush. A Match or
+	// Components.Match call adds them to its Config.Stats once, not
+	// per run: a solve makes tens of thousands of runs, and the
+	// counters are atomics shared by every worker.
+	runs, rounds, pops, pairs int64
+}
+
+// flush adds the work counts gathered since the last flush to st.
+func (s *Scratch) flush(st *trace.Stats) {
+	st.Add(trace.CMatchRuns, s.runs)
+	st.Add(trace.CClusterRounds, s.rounds)
+	st.Add(trace.CClusterPops, s.pops)
+	st.Add(trace.CClusterPairs, s.pairs)
+	s.runs, s.rounds, s.pops, s.pairs = 0, 0, 0, 0
 }
 
 // reset sizes the slabs for one run over up to seeds initial clusters, of

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"ube/internal/faultinject"
-	"ube/internal/floats"
 	"ube/internal/model"
 	"ube/internal/qef"
 	"ube/internal/search"
@@ -15,87 +14,88 @@ import (
 // This file holds the incremental half of the evaluation pipeline: the
 // per-solve incumbent cache and the delta-aware objective built on it.
 // Solvers derive most candidates by editing one incumbent set; the engine
-// snapshots that incumbent's evaluation state once (QEF partial sums plus
-// its unioned PCSA sketch) and evaluates every add-move off it by
-// extending the snapshot with a single source. Drop and swap moves fall
-// back to the ordinary full path. F1 takes the component path for every
-// move (match.go). See DESIGN.md ("Evaluation pipeline performance").
+// captures that incumbent's evaluation state once (qef.Base: integer sums
+// plus the any/multi bitmaps of its PCSA signatures) and evaluates every
+// add, drop and swap off it. F1 takes the component path for every move
+// (match.go). See DESIGN.md ("Evaluation pipeline performance").
 
 // incumbent is the per-solve cache of one base set's evaluation state.
 // It holds a single slot: solvers walk one incumbent at a time, so by the
-// time a new base appears the old snapshot is dead. The snapshot itself
-// is immutable — workers that share it only read (sketch extensions
-// happen in pooled copies) — and the slot swap is mutex-guarded, so
-// concurrent evaluation workers may race to refresh it but each always
-// evaluates against a complete snapshot. Snapshot construction is pure,
-// so a lost race wastes one pass and changes nothing.
+// time a new base appears the old state is dead. The state itself is
+// immutable — workers that share it only read — and the slot is checked
+// and refilled under its mutex, so concurrent evaluation workers build
+// each base once and always evaluate against a complete state.
 type incumbent struct {
 	mu   sync.Mutex
-	snap *qef.BaseSnapshot
+	base *qef.Base
 }
 
-// lookup returns the cached snapshot when it matches base's key.
-func (inc *incumbent) lookup(key string) *qef.BaseSnapshot {
+// lookup returns the state of set, building and publishing it when the
+// slot holds another base. It is the snapshot.evict injection point: an
+// eviction empties the slot first, which only forces a rebuild and can
+// never change results — exactly the invariant the chaos suite checks by
+// firing it mid-solve.
+func (inc *incumbent) lookup(e *Engine, set *model.SourceSet, st *trace.Stats) *qef.Base {
+	evict := e.faults.Fire(faultinject.SnapshotEvict) != nil
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	if inc.snap != nil && inc.snap.Key() == key {
-		return inc.snap
+	if evict {
+		inc.base = nil
 	}
-	return nil
+	if inc.base == nil || !inc.base.Of(set) {
+		inc.base = qef.NewBase(e.ctx, set, st)
+	}
+	return inc.base
 }
 
-// publish installs a freshly built snapshot as the incumbent.
-func (inc *incumbent) publish(snap *qef.BaseSnapshot) {
-	inc.mu.Lock()
-	inc.snap = snap
-	inc.mu.Unlock()
-}
-
-// discard drops the cached snapshot (the snapshot.evict injection
-// point). Snapshot construction is pure, so an eviction only forces a
-// rebuild and can never change results — which is exactly the invariant
-// the chaos suite checks by firing this mid-solve.
-func (inc *incumbent) discard() {
-	inc.mu.Lock()
-	inc.snap = nil
-	inc.mu.Unlock()
+// editable reports whether d is an edit of its base that the incumbent
+// path evaluates: an add of a non-member, a drop of a member, or both.
+func editable(d search.Delta) bool {
+	return d.Base != nil && (d.Add < 0 || !d.Base.Has(d.Add)) && (d.Drop < 0 || d.Base.Has(d.Drop))
 }
 
 // deltaObjective builds the solve's incremental objective and its
 // companion upper bound. Matching quality F1 comes from the solve's
-// component path (mt); the composite QEF side evaluates add-moves
-// incrementally from the incumbent snapshot. For a fixed S the returned quality is independent
-// of the delta up to float reassociation in the characteristic folds
-// (≪1e-12, see TestDeltaObjectiveMatchesFull).
+// component path (mt); the composite QEF side evaluates every edit of a
+// base off the incumbent's state, bit-identical to the full composite
+// evaluation (see TestDeltaObjectiveMatchesFull).
 //
-// The bound closure shares the snapshot cache and delta evaluator: it
-// computes the composite term exactly (the cheap part — no clustering)
-// and bounds only F1 by its range maximum 1, so bound ≥ quality holds
-// rigorously: q = w_match·f1 + w_rest·comp ≤ w_match·1 + w_rest·comp.
-// A PCSA-side shortcut was deliberately rejected — sketch-union
-// estimates are not subadditive, so est(A∪B) ≤ est(A)+est(B) does NOT
-// hold and any bound built on it would be unsound.
+// The bound closure shares the incumbent cache: it computes the
+// composite term exactly (the cheap part — no clustering) and bounds
+// only F1 by its range maximum 1, so bound ≥ quality holds rigorously:
+// q = w_match·f1 + w_rest·comp ≤ w_match·1 + w_rest·comp. A PCSA-side
+// shortcut was deliberately rejected — sketch-union estimates are not
+// subadditive, so est(A∪B) ≤ est(A)+est(B) does NOT hold and any bound
+// built on it would be unsound.
 func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, mt *matcher) (search.DeltaObjective, search.BoundFunc) {
-	de := qef.NewDeltaEval(comp)
 	st := mt.cfg.Stats
-	de.Stats = st
 	inc := &incumbent{}
+	// rest is the composite term of S; d's base, when it is an edit,
+	// supplies it from the incumbent's state.
+	rest := func(S *model.SourceSet, d search.Delta) float64 {
+		if !editable(d) {
+			st.Add(trace.CQEFFull, 1)
+			return comp.Eval(e.ctx, S)
+		}
+		dq := comp.EvalEdit(e.ctx, inc.lookup(e, d.Base, st), d.Drop, d.Add, S)
+		if ubedebug.Enabled && ubedebug.ShouldAudit() {
+			// Sampled delta≡full audit: the edit evaluation must agree
+			// with the full composite evaluation bit for bit.
+			full := comp.Eval(e.ctx, S)
+			//ube:float-exact the edit path shares Eval's stats and fold, so the values are bit-identical
+			ubedebug.Assert(dq == full,
+				"engine: delta objective %v diverges from full evaluation %v on %v-%d+%d",
+				dq, full, d.Base.Elements(), d.Drop, d.Add)
+			ubedebug.CountAudit()
+		}
+		return dq
+	}
 	bound := func(S *model.SourceSet, d search.Delta) (float64, bool) {
 		//ube:float-exact wRest is assigned the literal 0 sentinel by Solve when w_match == 1
 		if wRest == 0 {
 			return wMatch, true
 		}
-		if d.Base != nil && d.Add >= 0 && d.Drop < 0 && !d.Base.Has(d.Add) {
-			key := d.Base.Key()
-			snap := inc.lookup(key)
-			if snap == nil {
-				snap = de.Snapshot(e.ctx, d.Base)
-				inc.publish(snap)
-			}
-			return wMatch + wRest*de.EvalAdd(e.ctx, snap, d.Add, S), true
-		}
-		st.Add(trace.CQEFFull, 1)
-		return wMatch + wRest*comp.Eval(e.ctx, S), true
+		return wMatch + wRest*rest(S, d), true
 	}
 	dobj := func(S *model.SourceSet, d search.Delta) (float64, bool) {
 		f1, valid := mt.f1(S)
@@ -104,33 +104,7 @@ func (e *Engine) deltaObjective(comp *qef.Composite, wMatch, wRest float64, mt *
 		if wRest == 0 {
 			return q, valid
 		}
-		if d.Base != nil && d.Add >= 0 && d.Drop < 0 && !d.Base.Has(d.Add) {
-			if e.faults.Fire(faultinject.SnapshotEvict) != nil {
-				inc.discard()
-			}
-			key := d.Base.Key()
-			snap := inc.lookup(key)
-			if snap == nil {
-				snap = de.Snapshot(e.ctx, d.Base)
-				inc.publish(snap)
-			}
-			dq := de.EvalAdd(e.ctx, snap, d.Add, S)
-			if ubedebug.Enabled && ubedebug.ShouldAudit() {
-				// Sampled delta≡full audit: the incremental value must
-				// agree with the full composite evaluation on the
-				// materialized set up to fold reassociation.
-				full := comp.Eval(e.ctx, S)
-				ubedebug.Assert(floats.EqTol(dq, full, 1e-9),
-					"engine: delta objective %v diverges from full evaluation %v on %q+%d",
-					dq, full, key, d.Add)
-				ubedebug.CountAudit()
-			}
-			return q + wRest*dq, valid
-		}
-		// Drop and swap moves (and bases that don't match the snapshot
-		// shape) take the full composite path.
-		st.Add(trace.CQEFFull, 1)
-		return q + wRest*comp.Eval(e.ctx, S), valid
+		return q + wRest*rest(S, d), valid
 	}
 	return dobj, bound
 }

@@ -56,9 +56,8 @@ func clusterConfig(e *Engine, p *Problem) cluster.Config {
 }
 
 // TestDeltaObjectiveMatchesFull walks random add/drop/swap sequences and
-// checks the incremental objective agrees with the full objective within
-// 1e-12 at every step — the satellite differential property the issue
-// requires.
+// checks the incremental objective is bit-identical to the full objective
+// at every step: adds, drops and swaps all take the incumbent edit path.
 func TestDeltaObjectiveMatchesFull(t *testing.T) {
 	e, _ := testEngine(t, 24)
 	p := DefaultProblem()
@@ -106,7 +105,7 @@ func TestDeltaObjectiveMatchesFull(t *testing.T) {
 		}
 		gotQ, gotOK := delta(cand, d)
 		wantQ, wantOK := full(cand)
-		if gotOK != wantOK || math.Abs(gotQ-wantQ) > 1e-12 {
+		if gotOK != wantOK || math.Float64bits(gotQ) != math.Float64bits(wantQ) {
 			t.Fatalf("step %d (add=%d drop=%d): delta (%v,%v) vs full (%v,%v)",
 				step, d.Add, d.Drop, gotQ, gotOK, wantQ, wantOK)
 		}

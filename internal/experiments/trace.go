@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"time"
+	"runtime"
 
 	"ube/internal/engine"
 	"ube/internal/trace"
@@ -21,7 +21,8 @@ type TraceResult struct {
 	N int `json:"n"`
 	// Runs is how many off/on solve pairs were timed.
 	Runs int `json:"runs"`
-	// DisabledSeconds and EnabledSeconds are min-of-runs solve times.
+	// DisabledSeconds and EnabledSeconds are min-of-runs solve times, by
+	// the solving thread's CPU clock.
 	DisabledSeconds float64 `json:"disabled_seconds"`
 	EnabledSeconds  float64 `json:"enabled_seconds"`
 	// OverheadPct is (enabled/disabled − 1) × 100.
@@ -40,9 +41,13 @@ type TraceResult struct {
 }
 
 // TraceOverhead measures what solve tracing costs on the golden Figure 6
-// cell. Workers is pinned to 1 so the timings measure the instrumented
-// sequential path rather than scheduler noise.
+// cell. Workers is pinned to 1 and the goroutine to its thread, so the
+// thread's CPU clock times the instrumented sequential path alone: time
+// the thread spends descheduled while other work loads the machine is
+// not counted.
 func TraceOverhead(o Options) (*TraceResult, error) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	ms, n := Fig6Ms(o)
 	m := ms[len(ms)-2]
 	s, err := NewSetup(n, o)
@@ -55,10 +60,10 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 	}
 	p.Workers = 1
 
-	runs := 3
-	if o.Quick {
-		runs = 2
-	}
+	// Five pairs: a solve's CPU time still moves with cache and memory
+	// contention from the rest of the machine, and the minimum of five
+	// holds steady where that of two did not.
+	const runs = 5
 	res := &TraceResult{M: m, N: n, Runs: runs}
 	var plain, traced *engine.Solution
 	for r := 0; r < runs; r++ {
@@ -76,12 +81,12 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 				trc.Label = fmt.Sprintf("fig6 m=%d n=%d", m, n)
 				q.Trace = trc
 			}
-			start := time.Now()
+			start := threadClock()
 			sol, err := e.Solve(&q)
 			if err != nil {
 				return nil, err
 			}
-			sec := time.Since(start).Seconds()
+			sec := (threadClock() - start).Seconds()
 			if enabled {
 				//ube:float-exact zero is the not-yet-measured sentinel, never a computed value
 				if res.EnabledSeconds == 0 || sec < res.EnabledSeconds {

@@ -46,9 +46,9 @@ const (
 	// objective evaluations; the session must be left untouched, exactly
 	// as for a client-initiated cancellation.
 	SolveCancelMidway Point = "solve.cancel-midway"
-	// SnapshotEvict discards the engine's incumbent snapshot so the next
-	// add-move rebuilds it; results must be unchanged (the cache is a
-	// pure memo).
+	// SnapshotEvict discards the engine's incumbent base state so the
+	// next edit-evaluated move rebuilds it; results must be unchanged
+	// (the cache is a pure memo).
 	SnapshotEvict Point = "snapshot.evict"
 	// JanitorEvict forces one janitor sweep to treat every idle session
 	// as expired, regardless of TTL.

@@ -1,17 +1,17 @@
-// Package floats holds the shared epsilon comparison helpers. The
-// incremental evaluation pipeline (qef.DeltaEval) reproduces the full
-// pipeline only up to floating-point reassociation, so bare == / != on
-// floats is a latent divergence between the two; ube-lint's floateq check
-// bans it outside tests, and comparisons route through these helpers
-// instead. Sites where bit-exact comparison is the point (sort
-// comparators, zero-weight skips that must stay in lockstep across
-// pipelines, cache keys) stay on == with a //ube:float-exact annotation.
+// Package floats holds the shared epsilon comparison helpers. Two
+// computations of one value that reassociate a float sum differ in the
+// low bits, so bare == / != on floats is a latent divergence; ube-lint's
+// floateq check bans it outside tests, and comparisons route through
+// these helpers instead. Sites where bit-exact comparison is the point
+// (sort comparators, zero-weight skips, the delta≡full audit whose two
+// paths share one fold, cache keys) stay on == with a //ube:float-exact
+// annotation.
 package floats
 
 import "math"
 
 // Eps is the default comparison tolerance. Solve qualities live in [0,1]
-// and delta-vs-full reassociation error is ≪1e-12, so 1e-9 cleanly
+// and reassociation error is ≪1e-12, so 1e-9 cleanly
 // separates "same value computed two ways" from "different value".
 const Eps = 1e-9
 

@@ -60,3 +60,74 @@ func FuzzPCSAMarshalRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEditUnion checks the Population edit contract: for a random
+// population (empty members and an empty population included), a random
+// member dropped or none, and a random non-member added or none, the edit
+// estimate is bit-equal to Union over the edited member list, and 0 when
+// that list is empty.
+func FuzzEditUnion(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(2), true, uint8(1))
+	f.Add(uint64(2), uint8(0), uint8(0), true, uint8(0))
+	f.Add(uint64(3), uint8(1), uint8(0), false, uint8(2))
+	f.Add(uint64(4), uint8(5), uint8(9), false, uint8(1))
+	f.Add(uint64(5), uint8(3), uint8(1), true, uint8(2))
+
+	f.Fuzz(func(t *testing.T, seed uint64, members, drop uint8, withAdd bool, mapsSel uint8) {
+		nmaps := []int{1, 8, 64}[int(mapsSel)%3]
+		rng := splitmix64(seed)
+		next := func(n uint64) uint64 {
+			rng = splitmix64(rng)
+			return rng % n
+		}
+		// Overlapping ID ranges, some empty, so bits are held by one,
+		// several or no members.
+		sketch := func() *Sketch {
+			s := MustNew(nmaps, 9)
+			from, n := next(400), next(4)*next(200)
+			for id := from; id < from+n; id++ {
+				s.AddUint64(id)
+			}
+			return s
+		}
+		var pop Population
+		var sks []*Sketch
+		for i := 0; i < int(members%7); i++ {
+			sk := sketch()
+			if err := pop.Add(sk); err != nil {
+				t.Fatal(err)
+			}
+			sks = append(sks, sk)
+		}
+		var dropSk, addSk *Sketch
+		var edited []*Sketch
+		di := int(drop) % (len(sks) + 1) // len(sks) means no drop
+		for i, sk := range sks {
+			if i == di {
+				dropSk = sk
+				continue
+			}
+			edited = append(edited, sk)
+		}
+		if withAdd {
+			addSk = sketch()
+			edited = append(edited, addSk)
+		}
+		got, err := pop.EditEstimate(dropSk, addSk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		if len(edited) > 0 {
+			u, err := Union(edited...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = u.Estimate()
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("edit estimate %v, union of %d edited members %v (drop %v, add %v)",
+				got, len(edited), want, dropSk != nil, addSk != nil)
+		}
+	})
+}

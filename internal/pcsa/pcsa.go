@@ -173,19 +173,6 @@ func Union(sketches ...*Sketch) (*Sketch, error) {
 	return u, nil
 }
 
-// CopyFrom overwrites s's bitmaps with t's, making s an independent copy
-// of t's observations without allocating. It returns an error on
-// incompatible parameters. Together with UnionInto this supports
-// incremental union estimation: copy a cached base union into a scratch
-// sketch, OR one more signature in, estimate.
-func (s *Sketch) CopyFrom(t *Sketch) error {
-	if !s.Compatible(t) {
-		return errors.New("pcsa: copy from incompatible sketch")
-	}
-	copy(s.maps, t.maps)
-	return nil
-}
-
 // Checksum folds the sketch's parameters and bitmap payload into one
 // 64-bit value. Equal checksums for unequal sketches are possible but
 // vanishingly unlikely; the ubedebug snapshot-immutability audit uses it
@@ -234,8 +221,15 @@ func (s *Sketch) Estimate() float64 {
 	for _, w := range s.maps {
 		sum += lowestZero(w)
 	}
-	a := float64(sum) / float64(s.nmaps)
-	e := float64(s.nmaps) / phi * (math.Pow(2, a) - math.Pow(2, -kappa*a))
+	return estimate(sum, s.nmaps)
+}
+
+// estimate is the PCSA estimator on the sum, over nmaps bitmaps, of their
+// lowest-unset-bit positions. Every estimate goes through it, so two
+// paths that build the same bitmaps return the same float bits.
+func estimate(sum, nmaps int) float64 {
+	a := float64(sum) / float64(nmaps)
+	e := float64(nmaps) / phi * (math.Pow(2, a) - math.Pow(2, -kappa*a))
 	if e < 0 {
 		return 0
 	}

@@ -16,27 +16,6 @@ type Aggregator interface {
 	Aggregate(ctx *Context, S *model.SourceSet, char string) float64
 }
 
-// A DeltaAggregator can additionally score S ∪ {id} in O(1) from partial
-// sums captured once on S, without re-folding S's members. All the
-// built-in aggregators implement it; custom aggregators that don't simply
-// fall back to the full fold under incremental evaluation.
-type DeltaAggregator interface {
-	Aggregator
-	// Partials captures the state of Aggregate's fold over S needed to
-	// extend the fold by one more source.
-	Partials(ctx *Context, S *model.SourceSet, char string) AggPartials
-}
-
-// AggPartials is an immutable snapshot of one aggregator's fold over a
-// base set. EvalAdd must be pure and safe for concurrent calls: parallel
-// solver workers share one snapshot per base.
-type AggPartials interface {
-	// EvalAdd returns Aggregate(ctx, S ∪ {id}, char) for a source id not
-	// in the snapshot's base set, within floating-point reassociation
-	// error of the full fold.
-	EvalAdd(ctx *Context, id int) float64
-}
-
 // value returns source id's characteristic, defaulting to the universe
 // minimum when the source does not define it — a missing value earns the
 // worst normalized score rather than an error, so heterogeneous universes
@@ -83,46 +62,6 @@ func (WSum) Aggregate(ctx *Context, S *model.SourceSet, char string) float64 {
 	return num / (den * (hi - lo))
 }
 
-// wsumPartials carries WSum's numerator and denominator over a base set.
-type wsumPartials struct {
-	char     string
-	lo, hi   float64
-	ok       bool
-	num, den float64
-}
-
-// Partials implements DeltaAggregator.
-func (WSum) Partials(ctx *Context, S *model.SourceSet, char string) AggPartials {
-	p := &wsumPartials{char: char}
-	p.lo, p.hi, p.ok = ctx.CharRange(char)
-	if !p.ok {
-		return p
-	}
-	S.ForEach(func(id int) {
-		card := float64(ctx.U.Sources[id].Cardinality)
-		p.num += (value(ctx, id, char, p.lo) - p.lo) * card
-		p.den += card
-	})
-	return p
-}
-
-// EvalAdd implements AggPartials.
-func (p *wsumPartials) EvalAdd(ctx *Context, id int) float64 {
-	if !p.ok {
-		return 0
-	}
-	if floats.Eq(p.hi, p.lo) {
-		return 1
-	}
-	card := float64(ctx.U.Sources[id].Cardinality)
-	num := p.num + (value(ctx, id, p.char, p.lo)-p.lo)*card
-	den := p.den + card
-	if floats.Zero(den) {
-		return 0
-	}
-	return num / (den * (p.hi - p.lo))
-}
-
 // Mean is the unweighted normalized mean of the characteristic over S.
 type Mean struct{}
 
@@ -143,40 +82,6 @@ func (Mean) Aggregate(ctx *Context, S *model.SourceSet, char string) float64 {
 		sum += (value(ctx, id, char, lo) - lo) / (hi - lo)
 	})
 	return sum / float64(S.Len())
-}
-
-// meanPartials carries Mean's normalized sum and member count.
-type meanPartials struct {
-	char   string
-	lo, hi float64
-	ok     bool
-	sum    float64
-	n      int
-}
-
-// Partials implements DeltaAggregator.
-func (Mean) Partials(ctx *Context, S *model.SourceSet, char string) AggPartials {
-	p := &meanPartials{char: char, n: S.Len()}
-	p.lo, p.hi, p.ok = ctx.CharRange(char)
-	if !p.ok || floats.Eq(p.hi, p.lo) {
-		return p
-	}
-	S.ForEach(func(id int) {
-		p.sum += (value(ctx, id, char, p.lo) - p.lo) / (p.hi - p.lo)
-	})
-	return p
-}
-
-// EvalAdd implements AggPartials.
-func (p *meanPartials) EvalAdd(ctx *Context, id int) float64 {
-	if !p.ok {
-		return 0
-	}
-	if floats.Eq(p.hi, p.lo) {
-		return 1
-	}
-	sum := p.sum + (value(ctx, id, p.char, p.lo)-p.lo)/(p.hi-p.lo)
-	return sum / float64(p.n+1)
 }
 
 // Min scores a set by its weakest member — the right aggregation for
@@ -206,46 +111,6 @@ func (Min) Aggregate(ctx *Context, S *model.SourceSet, char string) float64 {
 	return best
 }
 
-// extremePartials carries the running min or max of the normalized
-// characteristic over a base set; one type serves both Min and Max.
-type extremePartials struct {
-	char   string
-	lo, hi float64
-	ok     bool
-	best   float64
-	isMin  bool
-}
-
-// Partials implements DeltaAggregator.
-func (Min) Partials(ctx *Context, S *model.SourceSet, char string) AggPartials {
-	p := &extremePartials{char: char, best: 1, isMin: true}
-	p.lo, p.hi, p.ok = ctx.CharRange(char)
-	if !p.ok || floats.Eq(p.hi, p.lo) {
-		return p
-	}
-	S.ForEach(func(id int) {
-		if v := (value(ctx, id, char, p.lo) - p.lo) / (p.hi - p.lo); v < p.best {
-			p.best = v
-		}
-	})
-	return p
-}
-
-// EvalAdd implements AggPartials.
-func (p *extremePartials) EvalAdd(ctx *Context, id int) float64 {
-	if !p.ok {
-		return 0
-	}
-	if floats.Eq(p.hi, p.lo) {
-		return 1
-	}
-	v := (value(ctx, id, p.char, p.lo) - p.lo) / (p.hi - p.lo)
-	if p.isMin == (v < p.best) {
-		return v
-	}
-	return p.best
-}
-
 // Max scores a set by its strongest member — e.g. reputation when one
 // trusted source is enough to anchor the integration.
 type Max struct{}
@@ -270,21 +135,6 @@ func (Max) Aggregate(ctx *Context, S *model.SourceSet, char string) float64 {
 		}
 	})
 	return best
-}
-
-// Partials implements DeltaAggregator.
-func (Max) Partials(ctx *Context, S *model.SourceSet, char string) AggPartials {
-	p := &extremePartials{char: char, best: 0}
-	p.lo, p.hi, p.ok = ctx.CharRange(char)
-	if !p.ok || floats.Eq(p.hi, p.lo) {
-		return p
-	}
-	S.ForEach(func(id int) {
-		if v := (value(ctx, id, char, p.lo) - p.lo) / (p.hi - p.lo); v > p.best {
-			p.best = v
-		}
-	})
-	return p
 }
 
 // AggregatorByName returns a predefined aggregator, or false for an

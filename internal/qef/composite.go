@@ -78,6 +78,9 @@ func (w Weights) Clone() Weights {
 type Composite struct {
 	qefs    []QEF
 	weights []float64
+	// union is set when Coverage or Redundancy carries weight, so an
+	// evaluation needs the union estimate both of them read.
+	union bool
 }
 
 // NewComposite pairs QEFs with their weights, validating the §2.3
@@ -89,20 +92,46 @@ func NewComposite(qefs []QEF, w Weights) (*Composite, error) {
 	c := &Composite{qefs: qefs, weights: make([]float64, len(qefs))}
 	for i, q := range qefs {
 		c.weights[i] = w[q.Name()]
+		switch q.(type) {
+		case Coverage, Redundancy:
+			//ube:float-exact zero means exactly zero (dimension off); must match fold's skip
+			c.union = c.union || c.weights[i] != 0
+		}
 	}
 	return c, nil
 }
 
-// Eval returns the overall quality Q(S). Zero-weight QEFs are skipped
-// entirely, so turning a dimension off also saves its evaluation cost.
+// Eval returns the overall quality Q(S). The data QEFs read one pass
+// over S's members, with one union estimate shared by Coverage and
+// Redundancy; zero-weight QEFs are skipped entirely, so turning a
+// dimension off also saves its evaluation cost.
 func (c *Composite) Eval(ctx *Context, S *model.SourceSet) float64 {
+	return c.fold(ctx, ctx.stats(S, c.union), S)
+}
+
+// fold accumulates Q(S) from S's stats: the data QEFs read st, every
+// other QEF is evaluated on S. Eval and EvalEdit both end here, so equal
+// stats give bit-equal qualities.
+func (c *Composite) fold(ctx *Context, st setStats, S *model.SourceSet) float64 {
 	q := 0.0
 	for i, f := range c.qefs {
-		//ube:float-exact zero means exactly zero (dimension off); must match DeltaEval's skip
-		if c.weights[i] == 0 {
+		w := c.weights[i]
+		//ube:float-exact zero means exactly zero (dimension off)
+		if w == 0 {
 			continue
 		}
-		q += c.weights[i] * f.Eval(ctx, S)
+		var v float64
+		switch f.(type) {
+		case Card:
+			v = st.card(ctx)
+		case Coverage:
+			v = st.coverage(ctx)
+		case Redundancy:
+			v = st.redundancy()
+		default:
+			v = f.Eval(ctx, S)
+		}
+		q += w * v
 	}
 	return q
 }

@@ -8,8 +8,8 @@ import (
 	"ube/internal/model"
 )
 
-// extraQEF is a delta-unaware caller-defined QEF; DeltaEval must fall
-// back to evaluating it on the materialized set.
+// extraQEF is a caller-defined QEF; EvalEdit must evaluate it on the
+// materialized set.
 type extraQEF struct{}
 
 func (extraQEF) Name() string { return "extra" }
@@ -19,11 +19,12 @@ func (extraQEF) Eval(ctx *Context, S *model.SourceSet) float64 {
 
 // TestDeltaEvalMatchesComposite is the delta ≡ full differential property
 // test: over random universes (mixed cooperation, all built-in
-// aggregators, an extra QEF) and random (base, add) pairs, EvalAdd must
-// agree with the full Composite evaluation of base ∪ {add} within 1e-12 —
-// and bit-exactly on the integer/sketch-backed QEFs.
+// aggregators, an extra QEF) and random (base, add) pairs, EvalEdit of
+// the add, of a drop of a base member and of the swap of the two must be
+// bit-identical to the full Composite evaluation of the edited set.
 func TestDeltaEvalMatchesComposite(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
+	rd := rand.New(rand.NewSource(43)) // drops, apart from r's inputs
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + r.Intn(10)
 		tuples := make([][]uint64, n)
@@ -58,8 +59,6 @@ func TestDeltaEvalMatchesComposite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		de := NewDeltaEval(comp)
-
 		for step := 0; step < 20; step++ {
 			base := model.NewSourceSet(n)
 			for id := 0; id < n; id++ {
@@ -71,25 +70,36 @@ func TestDeltaEvalMatchesComposite(t *testing.T) {
 			if base.Has(add) {
 				base.Remove(add)
 			}
-			S := base.Clone()
-			S.Add(add)
 
-			snap := de.Snapshot(ctx, base)
-			got := de.EvalAdd(ctx, snap, add, S)
-			want := comp.Eval(ctx, S)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("trial %d step %d agg %s: delta %v vs full %v (|Δ|=%g)",
-					trial, step, agg.Name(), got, want, math.Abs(got-want))
+			b := NewBase(ctx, base, nil)
+			drop := -1
+			if els := base.Elements(); len(els) > 0 {
+				drop = els[rd.Intn(len(els))]
+			}
+			for _, e := range []struct{ drop, add int }{{-1, add}, {drop, -1}, {drop, add}} {
+				S := base.Clone()
+				if e.drop >= 0 {
+					S.Remove(e.drop)
+				}
+				if e.add >= 0 {
+					S.Add(e.add)
+				}
+				got := comp.EvalEdit(ctx, b, e.drop, e.add, S)
+				want := comp.Eval(ctx, S)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d agg %s drop %d add %d: edit %v vs full %v",
+						trial, step, agg.Name(), e.drop, e.add, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestDeltaEvalExactOnSketchQEFs pins the stronger guarantee for the
-// integer- and sketch-backed QEFs: with only Card, Coverage and
-// Redundancy weighted, the incremental path is bit-identical to the full
-// path (the partial sums are integers and OR-ing sketches is
-// order-independent).
+// TestDeltaEvalExactOnSketchQEFs pins the guarantee on the integer- and
+// sketch-backed QEFs alone: with only Card, Coverage and Redundancy
+// weighted, every edit of a base — add, drop, swap — is bit-identical to
+// the full path (the sums are integers and the population's edit union is
+// the OR of the edited set's signatures).
 func TestDeltaEvalExactOnSketchQEFs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := 8
@@ -110,7 +120,6 @@ func TestDeltaEvalExactOnSketchQEFs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := NewDeltaEval(comp)
 	for step := 0; step < 200; step++ {
 		base := model.NewSourceSet(n)
 		for id := 0; id < n; id++ {
@@ -120,11 +129,23 @@ func TestDeltaEvalExactOnSketchQEFs(t *testing.T) {
 		}
 		add := r.Intn(n)
 		base.Remove(add)
-		S := base.Clone()
-		S.Add(add)
-		snap := de.Snapshot(ctx, base)
-		if got, want := de.EvalAdd(ctx, snap, add, S), comp.Eval(ctx, S); got != want {
-			t.Fatalf("step %d: delta %v != full %v (base %v add %d)", step, got, want, base.Elements(), add)
+		b := NewBase(ctx, base, nil)
+		// Every drop of a member, alone and swapped for add.
+		for _, drop := range append(base.Elements(), -1) {
+			for _, a := range []int{-1, add} {
+				S := base.Clone()
+				if drop >= 0 {
+					S.Remove(drop)
+				}
+				if a >= 0 {
+					S.Add(a)
+				}
+				//ube:float-exact the edit path must be bit-identical to the full path
+				if got, want := comp.EvalEdit(ctx, b, drop, a, S), comp.Eval(ctx, S); got != want {
+					t.Fatalf("step %d: edit %v != full %v (base %v drop %d add %d)",
+						step, got, want, base.Elements(), drop, a)
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ package qef
 // universes. Unlike the example-based tests, these pin the algebra the
 // solver leans on — monotonicity, permutation invariance, union
 // idempotence — for both the full Composite pipeline and the delta
-// (snapshot + EvalAdd) pipeline the incremental engine uses.
+// (NewBase + EvalEdit) pipeline the incremental engine uses.
 
 import (
 	"bytes"
@@ -174,7 +174,7 @@ func TestMetamorphicSketchUnionAlgebra(t *testing.T) {
 }
 
 // TestMetamorphicDeltaMatchesFullPipeline: for S = base ∪ {add}, the
-// delta pipeline (Snapshot + EvalAdd) must reproduce the full
+// edit pipeline (NewBase + EvalEdit) must reproduce the full
 // Composite.Eval bit for bit on the data-dependent QEFs — the invariant
 // that lets the incremental engine swap pipelines candidate by
 // candidate without perturbing the search trajectory.
@@ -192,7 +192,6 @@ func TestMetamorphicDeltaMatchesFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaEval(comp)
 	for trial := 0; trial < metamorphicTrials; trial++ {
 		base := randomSubset(rng, u, 0.4)
 		add := rng.Intn(u.N())
@@ -202,23 +201,29 @@ func TestMetamorphicDeltaMatchesFullPipeline(t *testing.T) {
 		S := base.Clone()
 		S.Add(add)
 
-		snap := d.Snapshot(ctx, base)
-		got := d.EvalAdd(ctx, snap, add, S)
+		b := NewBase(ctx, base, nil)
+		got := comp.EvalEdit(ctx, b, -1, add, S)
 		want := comp.Eval(ctx, S)
 		if got != want {
-			t.Fatalf("trial %d: EvalAdd(%v + %d) = %v, full Eval = %v (must be bit-identical)",
+			t.Fatalf("trial %d: EvalEdit(%v + %d) = %v, full Eval = %v (must be bit-identical)",
 				trial, base.Elements(), add, got, want)
 		}
-		// The same snapshot extended by different sources stays exact:
-		// snapshots are immutable and shareable.
+		// The same base state edited by different sources stays exact:
+		// base states are immutable and shareable. Each non-member is
+		// added alone and swapped for each member.
 		for i := 0; i < u.N(); i++ {
 			if base.Has(i) || i == add {
 				continue
 			}
-			S2 := base.Clone()
-			S2.Add(i)
-			if got, want := d.EvalAdd(ctx, snap, i, S2), comp.Eval(ctx, S2); got != want {
-				t.Fatalf("trial %d: reused snapshot EvalAdd(+%d) = %v, full Eval = %v", trial, i, got, want)
+			for _, drop := range append(base.Elements(), -1) {
+				S2 := base.Clone()
+				S2.Add(i)
+				if drop >= 0 {
+					S2.Remove(drop)
+				}
+				if got, want := comp.EvalEdit(ctx, b, drop, i, S2), comp.Eval(ctx, S2); got != want {
+					t.Fatalf("trial %d: reused base EvalEdit(-%d+%d) = %v, full Eval = %v", trial, drop, i, got, want)
+				}
 			}
 		}
 	}

@@ -10,7 +10,6 @@
 package qef
 
 import (
-	"math"
 	"sync"
 
 	"ube/internal/floats"
@@ -88,7 +87,7 @@ func NewContext(u *model.Universe) (*Context, error) {
 		for i := range u.Sources {
 			all.Add(i)
 		}
-		ctx.universeDistinct = ctx.unionEstimate(all)
+		ctx.universeDistinct = ctx.stats(all, true).distinct
 	}
 	return ctx, nil
 }
@@ -107,46 +106,82 @@ func (ctx *Context) CharRange(name string) (lo, hi float64, ok bool) {
 	return r[0], r[1], ok
 }
 
-// unionEstimate ORs the signatures of the cooperative sources in S into
-// the scratch sketch and returns the PCSA estimate. Zero when no source in
-// S cooperates.
-func (ctx *Context) unionEstimate(S *model.SourceSet) float64 {
-	if ctx.scratch == nil {
-		return 0
-	}
-	sk := ctx.scratch.Get().(*pcsa.Sketch)
-	defer func() {
-		sk.Reset()
-		ctx.scratch.Put(sk)
-	}()
-	found := false
-	S.ForEach(func(id int) {
-		sig := ctx.U.Sources[id].Signature
-		if sig == nil {
-			return
-		}
-		// Signature compatibility was checked by Universe.Validate.
-		if err := sk.UnionInto(sig); err != nil {
-			panic(err)
-		}
-		found = true
-	})
-	if !found {
-		return 0
-	}
-	return sk.Estimate()
+// setStats are the per-set sums the data QEFs read: Card reads the
+// cardinality sum, Redundancy the cooperative count and cardinality, and
+// Coverage and Redundancy share one union estimate.
+type setStats struct {
+	cardSum  int64   // Σ cardinality over all members
+	coopN    int     // cooperative members
+	coopCard int64   // Σ cardinality over cooperative members
+	distinct float64 // PCSA estimate of the cooperative members' union
 }
 
-// cooperativeStats returns, over the cooperative sources of S, the count
-// and cardinality sum.
-func (ctx *Context) cooperativeStats(S *model.SourceSet) (n int, card int64) {
+// stats gathers S's setStats in one pass over its members, ORing the
+// cooperative signatures into a pooled scratch sketch when union is set.
+// The union of no cooperative source estimates to 0.
+func (ctx *Context) stats(S *model.SourceSet, union bool) setStats {
+	var st setStats
+	var sk *pcsa.Sketch
+	if union && ctx.scratch != nil {
+		sk = ctx.scratch.Get().(*pcsa.Sketch)
+		defer func() {
+			sk.Reset()
+			ctx.scratch.Put(sk)
+		}()
+	}
 	S.ForEach(func(id int) {
-		if ctx.U.Sources[id].Signature != nil {
-			n++
-			card += ctx.U.Sources[id].Cardinality
+		src := &ctx.U.Sources[id]
+		st.cardSum += src.Cardinality
+		if src.Signature == nil {
+			return
+		}
+		st.coopN++
+		st.coopCard += src.Cardinality
+		if sk != nil {
+			// Signature compatibility was checked by Universe.Validate.
+			if err := sk.UnionInto(src.Signature); err != nil {
+				panic(err)
+			}
 		}
 	})
-	return n, card
+	if sk != nil && st.coopN > 0 {
+		st.distinct = sk.Estimate()
+	}
+	return st
+}
+
+// card is Card on the stats.
+func (st setStats) card(ctx *Context) float64 {
+	if ctx.totalCard == 0 {
+		return 0
+	}
+	return float64(st.cardSum) / float64(ctx.totalCard)
+}
+
+// coverage is Coverage on the stats.
+func (st setStats) coverage(ctx *Context) float64 {
+	if floats.Zero(ctx.universeDistinct) {
+		return 0
+	}
+	// Estimation noise can push the ratio a hair past 1.
+	return min(st.distinct/ctx.universeDistinct, 1)
+}
+
+// redundancy is Redundancy on the stats.
+func (st setStats) redundancy() float64 {
+	k := st.coopN
+	if k == 0 {
+		return 0
+	}
+	if k == 1 {
+		return 1
+	}
+	if st.coopCard == 0 {
+		return 1 // no data, no overlap
+	}
+	r := (float64(k)*st.distinct/float64(st.coopCard) - 1) / float64(k-1)
+	// PCSA noise can push the ratio slightly outside [0,1].
+	return max(0, min(r, 1))
 }
 
 // Card is F2 (§4): Card(S) = Σ_{s∈S}|s| / Σ_{t∈U}|t|, the fraction of the
@@ -158,12 +193,7 @@ func (Card) Name() string { return "card" }
 
 // Eval implements QEF.
 func (Card) Eval(ctx *Context, S *model.SourceSet) float64 {
-	if ctx.totalCard == 0 {
-		return 0
-	}
-	var sum int64
-	S.ForEach(func(id int) { sum += ctx.U.Sources[id].Cardinality })
-	return float64(sum) / float64(ctx.totalCard)
+	return ctx.stats(S, false).card(ctx)
 }
 
 // Coverage is F3 (§4): the fraction of the universe's distinct tuples that
@@ -176,12 +206,7 @@ func (Coverage) Name() string { return "coverage" }
 
 // Eval implements QEF.
 func (Coverage) Eval(ctx *Context, S *model.SourceSet) float64 {
-	if floats.Zero(ctx.universeDistinct) {
-		return 0
-	}
-	cov := ctx.unionEstimate(S) / ctx.universeDistinct
-	// Estimation noise can push the ratio a hair past 1.
-	return math.Min(cov, 1)
+	return ctx.stats(S, true).coverage(ctx)
 }
 
 // Redundancy is F4 (§4): a measure of the overlap among the sources of S,
@@ -200,18 +225,5 @@ func (Redundancy) Name() string { return "redundancy" }
 
 // Eval implements QEF.
 func (Redundancy) Eval(ctx *Context, S *model.SourceSet) float64 {
-	k, card := ctx.cooperativeStats(S)
-	if k == 0 {
-		return 0
-	}
-	if k == 1 {
-		return 1
-	}
-	if card == 0 {
-		return 1 // no data, no overlap
-	}
-	distinct := ctx.unionEstimate(S)
-	r := (float64(k)*distinct/float64(card) - 1) / float64(k-1)
-	// PCSA noise can push the ratio slightly outside [0,1].
-	return math.Max(0, math.Min(r, 1))
+	return ctx.stats(S, true).redundancy()
 }

@@ -11,7 +11,7 @@ import (
 // was mutated in place (source churn): total cardinality and the
 // characteristic ranges are exact rescans, the scratch pool is rebuilt
 // so its prototype matches the current signature parameters (a stale
-// prototype would panic inside unionEstimate after a full cooperative
+// prototype would panic inside the union estimate after a full cooperative
 // turnover), and the universe-distinct estimate is taken from the
 // supplied union signature when the caller maintains one incrementally
 // (the engine's pcsa.UnionCounter), or rescanned when union is nil.
@@ -62,7 +62,7 @@ func (ctx *Context) Rebase(union *pcsa.Sketch) error {
 		for i := 0; i < ctx.U.N(); i++ {
 			all.Add(i)
 		}
-		ctx.universeDistinct = ctx.unionEstimate(all)
+		ctx.universeDistinct = ctx.stats(all, true).distinct
 	}
 	return nil
 }

@@ -460,6 +460,18 @@ func chaosMetricsWant(name string) map[string]int64 {
 	}
 }
 
+// chaosFiringsWant returns the exact firing counts of the plan points
+// that leave no trace in the server's metrics: their results are
+// bit-identical by design, so only the injector can show they fired.
+func chaosFiringsWant(name string) map[faultinject.Point]int {
+	if name == "mixed" {
+		// Every edit-evaluated move reaches the point, so all 8
+		// scheduled evictions fire within the first solve.
+		return map[faultinject.Point]int{faultinject.SnapshotEvict: 8}
+	}
+	return nil
+}
+
 func metricByName(m *metricsDoc, name string) int64 {
 	switch name {
 	case "solvePanics":
@@ -531,7 +543,8 @@ func TestChaosSuite(t *testing.T) {
 	for _, name := range chaosPlanNames(t) {
 		t.Run(name, func(t *testing.T) {
 			plan := loadChaosPlan(t, name)
-			run := runChaos(t, u, faultinject.MustNew(plan), 3, true, chaosWALDir(t, plan))
+			inj := faultinject.MustNew(plan)
+			run := runChaos(t, u, inj, 3, true, chaosWALDir(t, plan))
 
 			checkHistoryInvariants(t, name, plan, ref.histories, run.histories)
 			checkReconciliation(t, name, plan, run)
@@ -547,6 +560,11 @@ func TestChaosSuite(t *testing.T) {
 				if got := metricByName(run.metrics, metric); got != want {
 					t.Errorf("%s = %d, want exactly %d (plan did not fire as scheduled)\n%s",
 						metric, got, want, replayBanner(name, plan))
+				}
+			}
+			for point, want := range chaosFiringsWant(name) {
+				if got := inj.FiredCount(point); got != want {
+					t.Errorf("%s fired %d times, want exactly %d\n%s", point, got, want, replayBanner(name, plan))
 				}
 			}
 		})

@@ -60,16 +60,18 @@ const (
 	// CClusterPairs counts candidate pairs scored at or above θ and
 	// admitted to the agenda.
 	CClusterPairs
-	// CQEFDelta counts incremental QEF evaluations (DeltaEval.EvalAdd).
+	// CQEFDelta counts edit QEF evaluations (Composite.EvalEdit): adds,
+	// drops and swaps evaluated off the incumbent's base state.
 	CQEFDelta
 	// CQEFFull counts full composite QEF evaluations — the objective's
-	// non-match term and the delta evaluator's fallback path. Each full
-	// evaluation implies up to two full-path PCSA union sweeps
-	// (coverage and redundancy), which are not counted separately: the
-	// shared qef.Context has no per-solve identity to attribute them to.
+	// non-match term for candidates that are not an edit of a base.
+	// Each implies one full-path PCSA union sweep (shared by coverage
+	// and redundancy), not counted separately: the shared qef.Context
+	// has no per-solve identity to attribute it to.
 	CQEFFull
-	// CSketchUnions counts incremental-path PCSA union batches: one per
-	// cooperative EvalAdd (scratch copy + union + estimate).
+	// CSketchUnions counts edit-path PCSA union estimates: one per
+	// EvalEdit whose edited set keeps a cooperative source and whose
+	// weights need the union (one pass over the base's bitmaps).
 	CSketchUnions
 	// CBlockProbes counts blocking-index probes: one per name whose
 	// candidate list is generated from the inverted index.
@@ -89,12 +91,12 @@ const (
 	// Operational counters below this point depend on scheduling and
 	// are stripped by Canonical.
 
-	// OSnapshotBuilds counts incumbent base-snapshot builds. Under
-	// Workers>1 concurrent workers can build the same snapshot and lose
-	// the publish race, so the count is load-dependent.
+	// OSnapshotBuilds counts incumbent base-state builds (qef.NewBase).
+	// The engine's cache policy and fault-injected evictions decide how
+	// often a base is rebuilt, so the count is operational.
 	OSnapshotBuilds
-	// OSnapshotUnions counts per-member PCSA unions performed while
-	// building base snapshots.
+	// OSnapshotUnions counts the member signatures folded into the
+	// any/multi bitmaps of base-state builds.
 	OSnapshotUnions
 	// OMatchEvictions counts component memo evictions (finished entries
 	// dropped when the per-solve memo reaches its bound).

@@ -15,9 +15,9 @@
 // The checks wired through this package: PCSA register bounds
 // (pcsa.AddHash), clustering agenda entry packing — every field fits
 // its bits and an entry decodes to the clusters it was packed from
-// (cluster.pack, agenda.entry), incumbent snapshot immutability via checksum
-// (qef.Snapshot/EvalAdd), and the sampled delta≡full objective audit
-// (engine.deltaObjective). Run them with:
+// (cluster.pack, agenda.entry), incumbent base-state immutability via
+// checksum (qef.NewBase/EvalEdit), and the sampled bit-exact delta≡full
+// objective audit (engine.deltaObjective). Run them with:
 //
 //	go test -tags ubedebug ./...
 //
