@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 
 	"ube/internal/engine"
 	"ube/internal/trace"
@@ -12,9 +13,11 @@ import (
 // TraceResult is the tracing-overhead experiment: the hardest measured
 // Figure 6 cell (the golden m = 40 one) solved repeatedly with tracing
 // off and on, each on a fresh engine so engine-level caches start cold
-// both ways. Seconds are min-of-runs — the standard way to compare a fixed
-// workload's cost under measurement noise — and the captured trace's
-// span count and counter totals document what the enabled run recorded.
+// both ways. The overhead is the median of the per-pair enabled/disabled
+// ratios: each pair's two solves run back to back and see the same load,
+// so a burst of contention moves one ratio, not the estimate. Seconds are
+// min-of-runs, and the captured trace's span count and counter totals
+// document what the enabled run recorded.
 type TraceResult struct {
 	// M and N identify the Figure 6 cell (choose M from N sources).
 	M int `json:"m"`
@@ -25,7 +28,7 @@ type TraceResult struct {
 	// the solving thread's CPU clock.
 	DisabledSeconds float64 `json:"disabled_seconds"`
 	EnabledSeconds  float64 `json:"enabled_seconds"`
-	// OverheadPct is (enabled/disabled − 1) × 100.
+	// OverheadPct is (median over pairs of enabled/disabled − 1) × 100.
 	OverheadPct float64 `json:"overhead_pct"`
 	// Spans is the captured trace's span count.
 	Spans int `json:"spans"`
@@ -61,13 +64,16 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 	p.Workers = 1
 
 	// Five pairs: a solve's CPU time still moves with cache and memory
-	// contention from the rest of the machine, and the minimum of five
-	// holds steady where that of two did not.
+	// contention from the rest of the machine. A minimum taken per side
+	// can pair one side's quiet moment with the other's loaded one; the
+	// median pair ratio cannot.
 	const runs = 5
 	res := &TraceResult{M: m, N: n, Runs: runs}
 	var plain, traced *engine.Solution
+	ratios := make([]float64, runs)
 	for r := 0; r < runs; r++ {
-		for _, enabled := range []bool{false, true} {
+		var pair [2]float64
+		for i, enabled := range []bool{false, true} {
 			// A fresh engine per solve: engine-level caches must start
 			// cold both ways or the second pipeline would time warm ones.
 			e, err := engine.New(s.U)
@@ -87,6 +93,7 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 				return nil, err
 			}
 			sec := (threadClock() - start).Seconds()
+			pair[i] = sec
 			if enabled {
 				//ube:float-exact zero is the not-yet-measured sentinel, never a computed value
 				if res.EnabledSeconds == 0 || sec < res.EnabledSeconds {
@@ -102,8 +109,10 @@ func TraceOverhead(o Options) (*TraceResult, error) {
 				plain = sol
 			}
 		}
+		ratios[r] = pair[1] / pair[0]
 	}
-	res.OverheadPct = (res.EnabledSeconds/res.DisabledSeconds - 1) * 100
+	sort.Float64s(ratios)
+	res.OverheadPct = (ratios[runs/2] - 1) * 100
 	res.Spans = len(res.Trace.Spans)
 	totals := res.Trace.Totals()
 	res.Counters = totals.Map()

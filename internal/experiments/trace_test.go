@@ -159,8 +159,10 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 // TestTraceOverheadGuard is tracing's regression bound: the enabled-tracer
 // solve must stay within 5% of the disabled one on the trace experiment's
 // cell. Solves are timed by the solving thread's CPU clock, so a loaded
-// machine (a parallel -race run) does not inflate one side; what noise is
-// left, the guard absorbs by taking the best of a few attempts.
+// machine (a parallel -race run) does not inflate one side, and the
+// overhead is the median of five back-to-back pair ratios, so a burst of
+// contention moves one ratio, not the estimate; what noise is left, the
+// guard absorbs by taking the best of a few attempts.
 func TestTraceOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard; skipped in -short")

@@ -58,15 +58,29 @@ const DefaultMaps = 256
 // be a power of two in [1, 65536]. Seed 0 is a valid seed; sources that
 // should be union-compatible must share both parameters.
 func New(nmaps int, seed uint64) (*Sketch, error) {
-	if nmaps < 1 || nmaps > 1<<16 || nmaps&(nmaps-1) != 0 {
-		return nil, fmt.Errorf("pcsa: nmaps must be a power of two in [1,65536], got %d", nmaps)
+	if err := checkNmaps(nmaps); err != nil {
+		return nil, err
 	}
+	return newSketch(nmaps, seed), nil
+}
+
+// checkNmaps is New's parameter check, for callers that must refuse a
+// bad nmaps before they allocate anything.
+func checkNmaps(nmaps int) error {
+	if nmaps < 1 || nmaps > 1<<16 || nmaps&(nmaps-1) != 0 {
+		return fmt.Errorf("pcsa: nmaps must be a power of two in [1,65536], got %d", nmaps)
+	}
+	return nil
+}
+
+// newSketch is New for an nmaps that checkNmaps accepted.
+func newSketch(nmaps int, seed uint64) *Sketch {
 	return &Sketch{
 		nmaps: nmaps,
 		seed:  seed,
 		shift: uint(bits.TrailingZeros(uint(nmaps))),
 		maps:  make([]uint64, nmaps),
-	}, nil
+	}
 }
 
 // MustNew is New for parameters known to be valid; it panics otherwise.

@@ -61,12 +61,31 @@ type WALRecordDoc struct {
 }
 
 // EncodeWALRecord renders the envelope as compact JSON — the exact bytes
-// framed into the log.
+// framed into the log, byte-identical to json.Marshal(d). Data, the last
+// field, is appended through appendCompact rather than encoding/json's
+// scanner; a payload that is not JSON goes back to json.Marshal, whose
+// error the caller sees.
 func EncodeWALRecord(d *WALRecordDoc) ([]byte, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(d)
+	if len(d.Data) == 0 {
+		return json.Marshal(d)
+	}
+	head := *d
+	head.Data = nil
+	hb, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	const key = `,"data":`
+	out := make([]byte, 0, len(hb)+len(key)+len(d.Data))
+	out = append(append(out, hb[:len(hb)-1]...), key...)
+	out, ok := appendCompact(out, d.Data)
+	if !ok {
+		return json.Marshal(d)
+	}
+	return append(out, '}'), nil
 }
 
 // DecodeWALRecordBytes strictly parses one framed envelope.
