@@ -25,12 +25,19 @@ import (
 //     next round with their cached similarity — never re-scored. Because
 //     the walk emits them in priority order, the carried list is already
 //     sorted, so carrying costs O(1) per pair per round;
-//   - only the fresh pairs — those involving a cluster born in the
-//     previous round — are sorted each round, into a second run that a
-//     two-pointer walk merges with the carried stream;
-//   - a pair is stale once an endpoint is eliminated: the walk drops it
-//     on sight, and the carry filter also drops pairs with a merged
-//     endpoint.
+//   - round 1's pairs and each later round's fresh pairs — those
+//     involving a cluster born in the previous round — are enumerated
+//     into a run of their own, which a two-pointer walk merges with the
+//     carried stream. The enumeration emits a run nearly in walk order
+//     and a run holds few distinct similarity keys, so sortRun buckets it
+//     by key in one stable scatter; slices.IsSorted then checks it and
+//     slices.Sort repairs the rare run the scatter left unsorted;
+//   - the owners lists (name → clusters carrying it) are rebuilt from
+//     each round's cluster list, so they hold only live clusters in ord
+//     order, and the enumeration never meets a dead one;
+//   - a pair is stale once an endpoint merges or is eliminated: the carry
+//     filter drops it after the walk, so every entry a walk meets joins
+//     two clusters of that round's list.
 //
 // The result is byte-identical to the legacy path (the differential test
 // in agenda_test.go proves it on random universes). The equivalence rests
@@ -52,8 +59,8 @@ import (
 //
 // An entry is one uint64 (see pack): the similarity key in the top 30
 // bits, then the two endpoint ords, 17 bits each. Unsigned < on the word
-// is exactly the walk priority, so sorting a run is slices.Sort on
-// integers and the stream merge is one integer compare per step. With
+// is exactly the walk priority, so a run sorts as integers (sortRun)
+// and the stream merge is one integer compare per step. With
 // realistic vocabularies most candidate pairs tie on similarity, so the
 // ord tiebreak is the common case, and it costs nothing extra here. An
 // ord doubles as the cluster's slot in the run's arena, so an entry
@@ -224,37 +231,32 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 		arena[c.ord] = c
 	}
 
-	// The round-1 pairs all involve newly created clusters, so scoring
-	// them lazily buys nothing: enumerate and sort them once into the
-	// carried queue. Later rounds only sort their own fresh trickle —
-	// pairs involving a newborn — and merge it into the pre-sorted
-	// carried stream with a two-pointer walk.
+	// Round 1 enumerates every seed's pairs into the carried queue; each
+	// later round enumerates only its fresh pairs — those involving a
+	// newborn — into a second run, merged with the carried stream by a
+	// two-pointer walk. Both come out in walk order through sortRun.
 	if cfg.Neighbors != nil {
 		if cap(sc.owners) < len(cfg.Neighbors) {
 			sc.owners = make([][]*workCluster, len(cfg.Neighbors))
 		}
-		// Every owners list is empty between runs, so only the names
-		// this run indexes need emptying again when it returns (a merge
-		// only unions names its seeds already carry).
+		// Every owners list is empty between runs. During a run the lists
+		// hold exactly the round's cluster list, in list (= ord) order.
 		ag.owners = sc.owners[:len(cfg.Neighbors)]
-		for _, c := range clusters {
-			for _, n := range c.names {
-				ag.owners[n] = append(ag.owners[n], c)
-			}
-		}
+		ag.index(clusters)
 	}
 	if _, table := cfg.Scores.(strsim.Table); !table {
 		ag.byRank = true
 		ag.ranks = rankSims(clusters, ag.owners, cfg, sc)
 	}
 	var queue []uint64
+	pending := sc.pending[:0]
 	if preGathered {
 		queue = seedQ
 	} else {
 		queue = sc.queue[:0]
 		if ag.owners != nil {
 			for _, c := range clusters {
-				queue = ag.appendIndexed(queue, c, false)
+				queue = ag.appendIndexed(queue, c)
 			}
 		} else {
 			for i := 0; i < len(clusters); i++ {
@@ -266,7 +268,7 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			}
 		}
 	}
-	slices.Sort(queue)
+	queue, pending = sortRun(queue, pending)
 
 	// Work counters accumulate locally and flush once at the single
 	// return below, so the walk itself carries no atomics.
@@ -274,7 +276,6 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 	admitted := int64(len(queue))
 
 	fresh := sc.fresh[:0]
-	pending := sc.pending[:0]
 	// The cluster list and the next round's newborns ping-pong between
 	// two buffers: a round's list is read until the next one is built.
 	spare := sc.born
@@ -287,6 +288,8 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 		// walk observes exactly the merged/free states the legacy
 		// sorted walk observes, because the merged order equals the
 		// legacy sort order and both walks mutate state identically.
+		// Every entry joins two clusters of the round's list: no
+		// cluster is eliminated during a walk.
 		qi, fi := 0, 0
 		for qi < len(queue) || fi < len(fresh) {
 			pops++
@@ -300,8 +303,8 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			}
 			oa, ob := unpack(e)
 			a, b := arena[oa], arena[ob]
-			if a.gone || b.gone {
-				continue // stale: an endpoint was eliminated
+			if ubedebug.Enabled {
+				ubedebug.Assert(!a.gone && !b.gone, "cluster: agenda entry for ords %d, %d names an eliminated cluster", oa, ob)
 			}
 			aM, bM := a.mergedIn != 0, b.mergedIn != 0
 			switch {
@@ -355,11 +358,7 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 			// Hand the working buffers back for the next run, with
 			// every owners list empty again.
 			if ag.owners != nil {
-				for _, c := range arena[nSeed:] {
-					for _, n := range c.names {
-						ag.owners[n] = ag.owners[n][:0]
-					}
-				}
+				ag.unindex(spare)
 			}
 			sc.queue, sc.pending, sc.fresh = queue, pending, fresh
 			sc.list, sc.born = clusters, spare
@@ -393,19 +392,16 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 		}
 
 		// Score only the fresh pairs: each newborn against every
-		// cluster ranked after it (later newborns + survivors), then
-		// sort the batch into its own run for the next round's merge
-		// walk. Newborns must all be indexed before any scoring so
-		// that born[i] can see born[j>i] through the owners lists.
+		// cluster ranked after it (later newborns + survivors), sorted
+		// into its own run for the next round's merge walk. The owners
+		// lists are rebuilt from the new list before any scoring, so
+		// they hold only live clusters and born[i] sees born[j>i].
 		fresh = fresh[:0]
 		if ag.owners != nil {
+			ag.unindex(spare)
+			ag.index(clusters)
 			for _, c := range born {
-				for _, n := range c.names {
-					ag.owners[n] = append(ag.owners[n], c)
-				}
-			}
-			for _, c := range born {
-				fresh = ag.appendIndexed(fresh, c, true)
+				fresh = ag.appendIndexed(fresh, c)
 			}
 		} else {
 			for i, c := range born {
@@ -416,28 +412,83 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 				}
 			}
 		}
-		slices.Sort(fresh)
+		fresh, pending = sortRun(fresh, pending)
 		admitted += int64(len(fresh))
 	}
 }
 
+// index adds each cluster of list to the owners lists of its names, in
+// list order.
+func (ag *agenda) index(list []*workCluster) {
+	for _, c := range list {
+		for _, n := range c.names {
+			ag.owners[n] = append(ag.owners[n], c)
+		}
+	}
+}
+
+// unindex empties the owners lists of every name the clusters of list
+// carry.
+func (ag *agenda) unindex(list []*workCluster) {
+	for _, c := range list {
+		for _, n := range c.names {
+			ag.owners[n] = ag.owners[n][:0]
+		}
+	}
+}
+
 // appendIndexed appends c's candidate pairs found through the ≥θ name
-// adjacency index, scoring only cluster pairs with a known
-// above-threshold name link (the same enumeration as
-// collectPairsIndexed). With skipDead set (mid-run, when the owners lists
-// may reference merged or eliminated clusters) dead partners are skipped
-// rather than compacted. The x.ord > c.ord filter pushes each pair from
-// its smaller-ord side exactly once — for that to cover newborn-newborn
-// pairs, all of a round's newborns must be indexed before any is scored.
-func (ag *agenda) appendIndexed(out []uint64, c *workCluster, skipDead bool) []uint64 {
+// adjacency index: c against every cluster ranked after it that carries a
+// neighbor of one of c's names (the same enumeration as
+// collectPairsIndexed). The owners lists hold only the clusters alive and
+// un-merged at the start of the round, and the x.ord > c.ord filter pushes
+// each pair from its smaller-ord side exactly once — for that to cover
+// newborn-newborn pairs, all of a round's newborns must be indexed before
+// any is scored.
+//
+// A single-name c scores each neighbor name once. Against a single-name
+// partner that score is the cluster similarity, and the partner is
+// reachable through no other name, so it takes no clusterSim call and no
+// dedup mark. The index may be built at a lower θ than the run's, so a
+// neighbor name scoring below θ is skipped whole: a partner with several
+// names that reaches θ with c does so through one of its names, which the
+// index lists. Partners with several names, and a c with several names,
+// score through clusterSim, deduplicated by markBy.
+func (ag *agenda) appendIndexed(out []uint64, c *workCluster) []uint64 {
 	nbrs, owners, scores, theta := ag.cfg.Neighbors, ag.owners, ag.cfg.Scores, ag.cfg.Theta
+	if len(c.names) == 1 {
+		na := c.names[0]
+		for _, nb := range nbrs[na] {
+			// The lists are in ord order: skip a name whose owners all
+			// rank before c without scoring it.
+			xs := owners[nb]
+			if len(xs) == 0 || xs[len(xs)-1].ord <= c.ord {
+				continue
+			}
+			s := scores.Score(na, nb)
+			if s < theta {
+				continue
+			}
+			key := ag.key(s)
+			for _, x := range xs {
+				switch {
+				case x.ord <= c.ord:
+				case len(x.names) == 1:
+					out = append(out, ag.entry(c, x, key))
+				case x.markBy != c:
+					x.markBy = c
+					if s := clusterSim(c, x, scores); s >= theta {
+						out = append(out, ag.entry(c, x, ag.key(s)))
+					}
+				}
+			}
+		}
+		return out
+	}
 	for _, na := range c.names {
 		for _, nb := range nbrs[na] {
 			for _, x := range owners[nb] {
 				if x.ord <= c.ord || x.markBy == c {
-					continue
-				}
-				if skipDead && (x.gone || x.mergedIn != 0) {
 					continue
 				}
 				x.markBy = c
@@ -448,4 +499,75 @@ func (ag *agenda) appendIndexed(out []uint64, c *workCluster, skipDead bool) []u
 		}
 	}
 	return out
+}
+
+// Bucketed run sort. A run's entries carry few distinct keys (in a fig6
+// run no run longer than sortRunSmall had more than sortRunKeys), and the
+// enumeration emits each key's entries nearly in walk order, so a
+// counting pass and a stable scatter by key usually leave the run sorted
+// without a comparison sort.
+const (
+	sortRunSmall = 12 // runs up to this long go to slices.Sort, which insertion-sorts them
+	sortRunKeys  = 4  // a run with more distinct keys goes to slices.Sort
+)
+
+// sortRun sorts the agenda run q into walk order. It returns the sorted
+// run and a spare buffer, empty and not aliasing it: one of q and spare
+// holds the run and the other is handed back. spare's contents are
+// overwritten. A run of few distinct keys is scattered stably into spare
+// by key; the result is then checked with slices.IsSorted and sorted
+// outright if the scatter left it unsorted, so the output is the sorted
+// run whatever order the entries came in.
+func sortRun(q, spare []uint64) (run, rest []uint64) {
+	if len(q) <= sortRunSmall {
+		slices.Sort(q)
+		return q, spare[:0]
+	}
+	var keys [sortRunKeys]uint64
+	var at [sortRunKeys]int // per bucket: its size, then its next write offset
+	nk := 0
+	for _, e := range q {
+		k := e >> keyShift
+		b := 0
+		for b < nk && keys[b] != k {
+			b++
+		}
+		if b == nk {
+			if nk == sortRunKeys {
+				slices.Sort(q)
+				return q, spare[:0]
+			}
+			keys[nk] = k
+			nk++
+		}
+		at[b]++
+	}
+	if nk > 1 {
+		// Lay the buckets out in key order: bucket b starts after every
+		// bucket with a smaller key.
+		var start [sortRunKeys]int
+		for b := range nk {
+			for o := range nk {
+				if keys[o] < keys[b] {
+					start[b] += at[o]
+				}
+			}
+		}
+		at = start
+		out := slices.Grow(spare[:0], len(q))[:len(q)]
+		for _, e := range q {
+			k := e >> keyShift
+			b := 0
+			for keys[b] != k {
+				b++
+			}
+			out[at[b]] = e
+			at[b]++
+		}
+		q, spare = out, q
+	}
+	if !slices.IsSorted(q) {
+		slices.Sort(q)
+	}
+	return q, spare[:0]
 }

@@ -247,6 +247,94 @@ func TestAgendaEntryOrder(t *testing.T) {
 	}
 }
 
+// FuzzSortRun is sortRun's differential against slices.Sort: runs of up
+// to 2 000 entries over 1–6 distinct keys, duplicates included, arriving
+// in walk order, bucket order (each key's entries sorted, keys
+// interleaved, the shape the enumeration emits), shuffled or reversed,
+// with a spare buffer of arbitrary length, capacity and contents. The
+// result must be the sorted run, and the spare handed back empty and
+// sharing no memory with it.
+func FuzzSortRun(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(1), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(12), uint8(2), uint8(1), uint16(3))
+	f.Add(int64(3), uint16(13), uint8(2), uint8(1), uint16(0))
+	f.Add(int64(4), uint16(100), uint8(4), uint8(2), uint16(500))
+	f.Add(int64(5), uint16(2000), uint8(5), uint8(3), uint16(40))
+	f.Add(int64(6), uint16(700), uint8(6), uint8(1), uint16(2000))
+	f.Add(int64(7), uint16(300), uint8(1), uint8(2), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, nKeys, shape uint8, spareCap uint16) {
+		r := rand.New(rand.NewSource(seed))
+		n := int(size) % 2001
+		keys := make([]uint32, 1+int(nKeys)%6)
+		for i := range keys {
+			keys[i] = uint32(r.Intn(1 << keyBits))
+		}
+		span := int32(1 + r.Intn(ordMask-1))
+		ord := func() int32 { return 1 + int32(r.Intn(int(span))) }
+		q := make([]uint64, 0, n)
+		for len(q) < n {
+			if len(q) > 0 && r.Intn(8) == 0 {
+				q = append(q, q[r.Intn(len(q))]) // a duplicate
+				continue
+			}
+			a, b := ord(), ord()
+			if a == b {
+				continue
+			}
+			q = append(q, pack(keys[r.Intn(len(keys))], min(a, b), max(a, b)))
+		}
+		want := slices.Clone(q)
+		slices.Sort(want)
+		switch shape % 4 {
+		case 0:
+			copy(q, want)
+		case 1:
+			// Each key's entries in order, the keys interleaved at random.
+			byKey := map[uint64][]uint64{}
+			var order []uint64
+			for _, e := range want {
+				k := e >> keyShift
+				if len(byKey[k]) == 0 {
+					order = append(order, k)
+				}
+				byKey[k] = append(byKey[k], e)
+			}
+			q = q[:0]
+			for len(q) < n {
+				k := order[r.Intn(len(order))]
+				if len(byKey[k]) > 0 {
+					q = append(q, byKey[k][0])
+					byKey[k] = byKey[k][1:]
+				}
+			}
+		case 2:
+			r.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
+		case 3:
+			copy(q, want)
+			slices.Reverse(q)
+		}
+		spare := make([]uint64, r.Intn(int(spareCap)+1), int(spareCap)+1)
+		for i := range spare {
+			spare[i] = r.Uint64()
+		}
+		run, rest := sortRun(q, spare)
+		if !slices.Equal(run, want) {
+			t.Fatalf("sortRun of %d entries over %d keys (shape %d) differs from slices.Sort", n, len(keys), shape%4)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("spare handed back with %d entries", len(rest))
+		}
+		// Overwriting all of the spare must leave the run intact.
+		rest = rest[:cap(rest)]
+		for i := range rest {
+			rest[i] = ^uint64(0)
+		}
+		if !slices.Equal(run, want) {
+			t.Fatal("the spare handed back shares memory with the sorted run")
+		}
+	})
+}
+
 // TestAgendaMatchesLegacyWithSourceConstraints exercises the C-validity
 // path (Match may return the NULL result) on both implementations.
 func TestAgendaMatchesLegacyWithSourceConstraints(t *testing.T) {
@@ -267,44 +355,52 @@ func TestAgendaMatchesLegacyWithSourceConstraints(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchSynth measures Match on the synthetic BAMM universe the
-// experiments use (N=200), on random m=50 subsets — the workload the
-// solver's inner loop actually runs.
-func BenchmarkMatchSynth(b *testing.B) {
+// synthBench returns the synthetic BAMM universe the experiments use
+// (N=200), a configuration scoring it through a dense matrix with a θ
+// adjacency index and precomputed name IDs, and 64 random m=50 subsets —
+// the candidate sets the solver's inner loop evaluates.
+func synthBench(b *testing.B) (*model.Universe, Config, [][]int) {
 	u, _, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := Config{Theta: 0.65, Beta: 2, Sim: strsim.NewCache(nil)}
+	for i := range u.Sources {
+		for _, a := range u.Sources[i].Attributes {
+			cfg.Sim.Intern(a)
+		}
+	}
+	m := mustMatrix(cfg.Sim)
+	cfg.Scores = m
+	cfg.Neighbors = m.Neighbors(cfg.Theta)
+	cfg.NameIDs = buildNameIDs(u, cfg.Sim)
+	r := rand.New(rand.NewSource(7))
+	subsets := make([][]int, 64)
+	for i := range subsets {
+		subsets[i] = r.Perm(u.N())[:50]
+		slices.Sort(subsets[i])
+	}
+	return u, cfg, subsets
+}
+
+// BenchmarkMatchSynth measures whole-set Match on synthBench's subsets.
+func BenchmarkMatchSynth(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		legacy  bool
 		seedIdx bool
 	}{{"legacy", true, false}, {"agenda", false, false}, {"agenda-seedidx", false, true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{Theta: 0.65, Beta: 2, Sim: strsim.NewCache(nil), LegacyAgenda: mode.legacy}
-			for i := range u.Sources {
-				for _, a := range u.Sources[i].Attributes {
-					cfg.Sim.Intern(a)
-				}
-			}
-			m := mustMatrix(cfg.Sim)
-			cfg.Scores = m
-			cfg.Neighbors = m.Neighbors(cfg.Theta)
-			cfg.NameIDs = buildNameIDs(u, cfg.Sim)
+			u, cfg, subsets := synthBench(b)
+			cfg.LegacyAgenda = mode.legacy
 			if mode.seedIdx {
-				cfg.Seed = BuildSeedPairs(u, cfg.NameIDs, cfg.Neighbors, m, cfg.Theta)
+				cfg.Seed = BuildSeedPairs(u, cfg.NameIDs, cfg.Neighbors, cfg.Scores, cfg.Theta)
 				if cfg.Seed == nil {
 					b.Fatal("BuildSeedPairs returned nil")
 				}
 			}
 			if !mode.legacy {
 				cfg.Scratch = &Scratch{}
-			}
-			r := rand.New(rand.NewSource(7))
-			subsets := make([][]int, 64)
-			for i := range subsets {
-				subsets[i] = r.Perm(u.N())[:50]
-				slices.Sort(subsets[i])
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -160,6 +160,47 @@ func TestComponentsMatchWholeSet(t *testing.T) {
 	}
 }
 
+// TestComponentsMatchBelowThetaIndex is the decomposition differential
+// with an adjacency index built 0.15 below the run's θ, which
+// Config.Neighbors allows: a neighbor name scoring under θ must not pair
+// two single-name clusters, and GA keep clusters carrying two or more
+// names must still pair through every name. Composing the components
+// must give exactly whole-set Match on the legacy agenda.
+func TestComponentsMatchBelowThetaIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(20261018))
+	sc := &Scratch{}
+	var multiName, below int
+	for trial := 0; trial < 400; trial++ {
+		c := randomCase(r)
+		for try := 0; len(c.G) == 0 && len(c.S) >= 2 && try < 4; try++ {
+			c.G = randomConstraints(r, c.u, c.S)
+		}
+		cfg, oracle := caseConfigs(c, sc, true, nil)
+		m := cfg.Scores.(*strsim.Matrix)
+		cfg.Neighbors = m.Neighbors(c.theta - 0.15)
+		checkComponentCase(t, "trial "+strconv.Itoa(trial), c, cfg, oracle, nil)
+		for _, g := range c.G {
+			names := map[int]bool{}
+			for _, ref := range g {
+				names[cfg.NameIDs[ref.Source][ref.Attr]] = true
+			}
+			if len(names) >= 2 {
+				multiName++
+			}
+		}
+		for a, nbrs := range cfg.Neighbors {
+			for _, b := range nbrs {
+				if m.Score(a, b) < c.theta {
+					below++
+				}
+			}
+		}
+	}
+	if multiName == 0 || below == 0 {
+		t.Fatalf("coverage: %d GA constraints with several names, %d index links below θ", multiName, below)
+	}
+}
+
 // TestComponentMemoIsExact reuses Parts by key across a walk of
 // neighboring candidate sets on one universe — the tabu shape, where most
 // components repeat — and requires every composed Result to equal
@@ -252,4 +293,21 @@ func FuzzMatchComponents(f *testing.F) {
 		c.S = set.Elements()
 		checkComponentCase(t, "neighbor set", c, cfg, oracle, memo)
 	})
+}
+
+// BenchmarkComponentsMatch measures the path a solve runs for F1: Split
+// of one of synthBench's subsets, then Components.Match over every
+// component it keeps, with no memo.
+func BenchmarkComponentsMatch(b *testing.B) {
+	u, cfg, subsets := synthBench(b)
+	cfg.Scratch = &Scratch{}
+	var idx []int
+	for i := 0; b.Loop(); i++ {
+		cs := Split(u, subsets[i%len(subsets)], nil, cfg)
+		idx = idx[:0]
+		for k := range cs.Len() {
+			idx = append(idx, k)
+		}
+		cs.Match(idx)
+	}
 }
