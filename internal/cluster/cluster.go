@@ -17,9 +17,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ube/internal/model"
 	"ube/internal/strsim"
@@ -126,11 +126,11 @@ type Result struct {
 // so deduplicating them makes max-link computation cheap on synthetic
 // universes where the same name recurs across many sources).
 type workCluster struct {
-	attrs []model.AttrRef
-	srcs  []int // sorted source IDs (one attr per source in a valid GA)
-	names []int // sorted unique interned name IDs
-	keep  bool  // seeded by a GA constraint: never eliminated
-	grown bool  // created by a merge in some round
+	attrs []int32 // ascending slot positions (see Part)
+	srcs  []int   // sorted source IDs (one attr per source in a valid GA)
+	names []int   // sorted unique interned name IDs
+	keep  bool    // seeded by a GA constraint: never eliminated
+	grown bool    // created by a merge in some round
 
 	// Agenda state (agenda.go). ord is a stable rank reproducing the
 	// legacy slice-position order, and the cluster's slot in the run's
@@ -160,7 +160,7 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 		sc = &Scratch{}
 	}
 	sc.runs++
-	clusters := seed(u, S, G, cfg, sc)
+	clusters, refs := seed(u, S, G, cfg, sc)
 	if cfg.LegacyAgenda {
 		clusters = run(clusters, cfg)
 	} else {
@@ -172,13 +172,14 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 		clusters = runAgenda(clusters, seedQ, preGathered, cfg, sc)
 	}
 	sc.flush(cfg.Stats)
-	return assemble(clusters, C, G, cfg)
+	return compose([]*Part{assemblePart(clusters, cfg)}, func(_ int, pos int32) model.AttrRef { return refs[pos] }, C)
 }
 
 // seed builds the initial cluster list: one keep-cluster per GA constraint,
 // then one singleton per remaining attribute of every source in S
-// (Algorithm 1 lines 1–4).
-func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*workCluster {
+// (Algorithm 1 lines 1–4). A slot's position is its index in the returned
+// list of S's attributes, in S order.
+func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) ([]*workCluster, []model.AttrRef) {
 	intern := func(r model.AttrRef) int {
 		if cfg.NameIDs != nil {
 			return cfg.NameIDs[r.Source][r.Attr]
@@ -186,55 +187,41 @@ func seed(u *model.Universe, S []int, G []model.GA, cfg Config, sc *Scratch) []*
 		return cfg.Sim.Intern(u.AttrName(r))
 	}
 
-	nSlots := 0
-	for _, id := range S {
-		nSlots += len(u.Source(id).Attributes)
-	}
-	checkSlots(nSlots)
-	sc.reset(len(G)+nSlots, nSlots)
-	clusters := sc.list[:0]
-	var inConstraint map[model.AttrRef]struct{}
-	if len(G) > 0 {
-		inConstraint = make(map[model.AttrRef]struct{})
-		for _, g := range G {
-			clusters = append(clusters, sc.keepCluster(g, intern))
-			for _, r := range g {
-				inConstraint[r] = struct{}{}
-			}
+	var refs []model.AttrRef
+	first := make([]int32, len(S)) // position of each source's first attribute
+	for i, id := range S {
+		first[i] = int32(len(refs))
+		for a := range u.Source(id).Attributes {
+			refs = append(refs, model.AttrRef{Source: id, Attr: a})
 		}
 	}
-	for _, id := range S {
-		src := u.Source(id)
-		for a := range src.Attributes {
-			r := model.AttrRef{Source: id, Attr: a}
-			if _, taken := inConstraint[r]; taken {
-				continue
-			}
-			clusters = append(clusters, sc.singleton(r, intern(r)))
+	checkSlots(len(refs))
+	sc.reset(len(G)+len(refs), len(refs))
+	clusters := sc.list[:0]
+	taken := make([]bool, len(refs))
+	for _, g := range G {
+		clusters = append(clusters, sc.keepCluster(g, func(r model.AttrRef) (int32, int) {
+			pos := first[slices.Index(S, r.Source)] + int32(r.Attr)
+			taken[pos] = true
+			return pos, intern(r)
+		}))
+	}
+	for pos, r := range refs {
+		if !taken[pos] {
+			clusters = append(clusters, sc.singleton(int32(pos), r.Source, intern(r)))
 		}
 	}
 	sc.list = clusters
-	return clusters
+	return clusters, refs
 }
 
-func addSource(c *workCluster, id int) {
-	i := sort.SearchInts(c.srcs, id)
-	if i < len(c.srcs) && c.srcs[i] == id {
-		return
+// addSorted inserts v into the ascending slice s unless it is there.
+func addSorted[T int | int32](s []T, v T) []T {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s
 	}
-	c.srcs = append(c.srcs, 0)
-	copy(c.srcs[i+1:], c.srcs[i:])
-	c.srcs[i] = id
-}
-
-func addName(c *workCluster, nameID int) {
-	i := sort.SearchInts(c.names, nameID)
-	if i < len(c.names) && c.names[i] == nameID {
-		return
-	}
-	c.names = append(c.names, 0)
-	copy(c.names[i+1:], c.names[i:])
-	c.names[i] = nameID
+	return slices.Insert(s, i, v)
 }
 
 // pair is a candidate merge, ordered by similarity (desc) with a
@@ -416,7 +403,7 @@ func disjointSources(a, b *workCluster) bool {
 // valid for the whole Match call.
 func mergeInto(c, a, b *workCluster, sc *Scratch) {
 	n := len(sc.attrs)
-	sc.attrs = append(append(sc.attrs, a.attrs...), b.attrs...)
+	sc.attrs = appendMergedSorted(sc.attrs, a.attrs, b.attrs)
 	c.attrs = sc.attrs[n:len(sc.attrs):len(sc.attrs)]
 	n = len(sc.ints)
 	sc.ints = appendMergedSorted(sc.ints, a.srcs, b.srcs)
@@ -428,8 +415,8 @@ func mergeInto(c, a, b *workCluster, sc *Scratch) {
 	c.grown = true
 }
 
-// appendMergedSorted appends the sorted union of two sorted int slices.
-func appendMergedSorted(out, a, b []int) []int {
+// appendMergedSorted appends the sorted union of two sorted slices.
+func appendMergedSorted[T int | int32](out, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -451,39 +438,13 @@ func appendMergedSorted(out, a, b []int) []int {
 
 // merge returns the union cluster of a and b.
 func merge(a, b *workCluster) *workCluster {
-	c := &workCluster{
-		attrs: make([]model.AttrRef, 0, len(a.attrs)+len(b.attrs)),
-		srcs:  mergeSorted(a.srcs, b.srcs),
-		names: mergeSorted(a.names, b.names),
+	return &workCluster{
+		attrs: appendMergedSorted(nil, a.attrs, b.attrs),
+		srcs:  appendMergedSorted(nil, a.srcs, b.srcs),
+		names: appendMergedSorted(nil, a.names, b.names),
 		keep:  a.keep || b.keep,
 		grown: true,
 	}
-	c.attrs = append(c.attrs, a.attrs...)
-	c.attrs = append(c.attrs, b.attrs...)
-	return c
-}
-
-// mergeSorted returns the sorted union of two sorted int slices.
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // quality is the §3 cluster quality: the maximum similarity between any
@@ -505,63 +466,34 @@ func quality(c *workCluster, sim strsim.Scorer) float64 {
 	return best
 }
 
-// assemble applies the β filter, checks validity on C, and packages the
-// result (Algorithm 1 line 24).
-func assemble(clusters []*workCluster, C []int, G []model.GA, cfg Config) Result {
-	return compose([]*Part{assemblePart(clusters, G, cfg)}, C)
-}
-
 // assemblePart applies the β filter to a run's final clusters and
-// packages the surviving GAs in schema order.
-func assemblePart(clusters []*workCluster, G []model.GA, cfg Config) *Part {
-	p := &Part{}
+// packages the surviving GAs in schema order. A cluster holds a GA
+// constraint iff it grew out of that constraint's keep cluster: the
+// constraint's slots seed no singleton.
+func assemblePart(clusters []*workCluster, cfg Config) *Part {
+	kept, n := clusters[:0], 0
 	for _, c := range clusters {
-		g := model.NewGA(c.attrs...)
-		exempt := containsConstraint(g, G)
-		if !exempt && len(g) < max(cfg.Beta, 2) {
-			// Non-constraint GAs must express an actual matching
-			// (≥ 2 attributes) and satisfy the user's β floor.
-			continue
+		// Non-constraint GAs must express an actual matching (≥ 2
+		// attributes) and satisfy the user's β floor.
+		if c.keep || len(c.attrs) >= max(cfg.Beta, 2) {
+			kept = append(kept, c)
+			n += len(c.attrs)
 		}
-		p.GAs = append(p.GAs, g)
-		p.Quality = append(p.Quality, quality(c, cfg.Scores))
-		p.FromConstraint = append(p.FromConstraint, exempt)
 	}
-	sortSchema(p)
+	// Distinct GAs never share a first position (a slot belongs to one
+	// cluster), so this is a strict total order.
+	slices.SortFunc(kept, func(a, b *workCluster) int { return cmp.Compare(a.attrs[0], b.attrs[0]) })
+	p := &Part{
+		GAs:            make([][]int32, len(kept)),
+		Quality:        make([]float64, len(kept)),
+		FromConstraint: make([]bool, len(kept)),
+	}
+	pos := make([]int32, 0, n)
+	for j, c := range kept {
+		pos = append(pos, c.attrs...)
+		p.GAs[j] = pos[len(pos)-len(c.attrs) : len(pos) : len(pos)]
+		p.Quality[j] = quality(c, cfg.Scores)
+		p.FromConstraint[j] = c.keep
+	}
 	return p
-}
-
-// containsConstraint reports whether some user GA constraint is a subset
-// of g (g grew out of it and inherits its exemption).
-func containsConstraint(g model.GA, G []model.GA) bool {
-	for _, c := range G {
-		if g.ContainsAll(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// sortSchema orders a part's GAs deterministically (by first attribute)
-// so that equal inputs produce byte-identical results across runs.
-func sortSchema(p *Part) {
-	idx := make([]int, len(p.GAs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		// Distinct GAs never share a first attribute (an attribute
-		// belongs to one cluster), so this is a strict total order and
-		// stability is moot.
-		return p.GAs[a][0].Compare(p.GAs[b][0])
-	})
-	gas := make([]model.GA, len(idx))
-	qs := make([]float64, len(idx))
-	fs := make([]bool, len(idx))
-	for to, from := range idx {
-		gas[to], qs[to], fs[to] = p.GAs[from], p.Quality[from], p.FromConstraint[from]
-	}
-	copy(p.GAs, gas)
-	copy(p.Quality, qs)
-	copy(p.FromConstraint, fs)
 }

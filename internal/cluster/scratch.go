@@ -17,9 +17,9 @@ import (
 // A Scratch must not be shared by concurrent Match calls. The engine keeps
 // one per evaluation worker.
 type Scratch struct {
-	slab  []workCluster   // every cluster of the current call
-	attrs []model.AttrRef // backing for singleton attr slices
-	ints  []int           // backing for singleton source/name slices
+	slab  []workCluster // every cluster of the current call
+	attrs []int32       // backing for cluster position slices
+	ints  []int         // backing for singleton source/name slices
 
 	arena   []*workCluster   // agenda: ord -> cluster
 	list    []*workCluster   // the evolving cluster list
@@ -59,7 +59,7 @@ func (s *Scratch) reset(seeds, slots int) {
 	}
 	s.slab = s.slab[:0]
 	if cap(s.attrs) < slots {
-		s.attrs = make([]model.AttrRef, 0, slots+slots/4)
+		s.attrs = make([]int32, 0, slots+slots/4)
 	}
 	s.attrs = s.attrs[:0]
 	if cap(s.ints) < 2*slots {
@@ -69,26 +69,28 @@ func (s *Scratch) reset(seeds, slots int) {
 }
 
 // keepCluster seeds the cluster of GA constraint g: never eliminated.
-func (s *Scratch) keepCluster(g model.GA, intern func(model.AttrRef) int) *workCluster {
+// slot gives an attribute's position and interned name.
+func (s *Scratch) keepCluster(g model.GA, slot func(model.AttrRef) (int32, int)) *workCluster {
 	c := s.newCluster()
 	c.keep = true
 	for _, r := range g {
-		c.attrs = append(c.attrs, r)
-		addSource(c, r.Source)
-		addName(c, intern(r))
+		pos, name := slot(r)
+		c.attrs = addSorted(c.attrs, pos)
+		c.srcs = addSorted(c.srcs, r.Source)
+		c.names = addSorted(c.names, name)
 	}
 	return c
 }
 
-// singleton seeds the one-attribute cluster of slot r, carving its tiny
-// slices out of the scratch pools.
-func (s *Scratch) singleton(r model.AttrRef, name int) *workCluster {
+// singleton seeds the one-attribute cluster of the slot at position pos,
+// carving its tiny slices out of the scratch pools.
+func (s *Scratch) singleton(pos int32, src, name int) *workCluster {
 	c := s.newCluster()
 	na := len(s.attrs)
-	s.attrs = append(s.attrs, r)
+	s.attrs = append(s.attrs, pos)
 	c.attrs = s.attrs[na : na+1 : na+1]
 	ni := len(s.ints)
-	s.ints = append(s.ints, r.Source, name)
+	s.ints = append(s.ints, src, name)
 	c.srcs = s.ints[ni : ni+1 : ni+1]
 	c.names = s.ints[ni+1 : ni+2 : ni+2]
 	return c
