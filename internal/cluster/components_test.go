@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -21,28 +23,29 @@ type componentCase struct {
 	beta  int
 }
 
-// componentResult evaluates Match(S) through the component path. memo,
-// when non-nil, carries Parts across calls by key, the way the engine's
-// per-solve memo does; it must only be shared between calls with the same
-// universe and parameters.
-func componentResult(c componentCase, cfg Config, memo map[string]*Part) (Result, float64, bool) {
+// componentResult evaluates Match(S) through the component path, reusing
+// Parts by key the way the engine's per-solve memo does: a component
+// whose key is already in memo takes that Part, so components of one
+// shape share the first one's. memo, when non-nil, carries Parts across
+// calls; it must only be shared between calls with the same universe and
+// parameters. It also reports how many components took a memoized Part.
+func componentResult(c componentCase, cfg Config, memo map[string]*Part) (Result, float64, bool, int) {
+	if memo == nil {
+		memo = map[string]*Part{}
+	}
 	cs := Split(c.u, c.S, c.G, cfg)
-	var missing []int
+	hits := 0
 	for i := 0; i < cs.Len(); i++ {
 		if p, ok := memo[string(cs.Key(i))]; ok {
 			cs.Set(i, p)
+			hits++
 			continue
 		}
-		missing = append(missing, i)
-	}
-	cs.Match(missing)
-	for _, i := range missing {
-		if memo != nil {
-			memo[string(cs.Key(i))] = cs.Part(i)
-		}
+		cs.Match([]int{i})
+		memo[string(cs.Key(i))] = cs.Part(i)
 	}
 	q, valid := cs.F1(c.C)
-	return cs.Result(c.C), q, valid
+	return cs.Result(c.C), q, valid, hits
 }
 
 // randomCase draws a universe over the near-duplicate test vocabulary and
@@ -119,32 +122,34 @@ func caseConfigs(c componentCase, sc *Scratch, indexed bool, measure strsim.Meas
 
 // checkComponentCase fails unless the component path reproduces the
 // oracle bit for bit: the same Result, and F1 equal to its Quality and
-// Valid.
-func checkComponentCase(t *testing.T, where string, c componentCase, cfg, oracle Config, memo map[string]*Part) {
+// Valid. It returns the number of memoized Parts the path took.
+func checkComponentCase(t *testing.T, where string, c componentCase, cfg, oracle Config, memo map[string]*Part) int {
 	t.Helper()
 	want := Match(c.u, c.S, c.C, c.G, oracle)
-	got, q, valid := componentResult(c, cfg, memo)
+	got, q, valid, hits := componentResult(c, cfg, memo)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s (θ=%v β=%d S=%v C=%v G=%v):\ncomponents: %+v\nwhole set:  %+v", where, c.theta, c.beta, c.S, c.C, c.G, got, want)
 	}
 	if math.Float64bits(q) != math.Float64bits(want.Quality) || valid != want.Valid {
 		t.Fatalf("%s: F1 = (%v, %v), whole-set Match (%v, %v)", where, q, valid, want.Quality, want.Valid)
 	}
+	return hits
 }
 
 // TestComponentsMatchWholeSet is the decomposition differential: on
 // random universes, with GA constraints, source constraints (valid and
-// invalid sets), β above 2 and several θ, composing per-component runs
-// must give exactly whole-set Match on the legacy agenda — with and
-// without the adjacency index (without it the set is one component).
+// invalid sets), β above 2 and several θ, composing per-component runs,
+// with components of one shape sharing a Part, must give exactly
+// whole-set Match on the legacy agenda — with and without the adjacency
+// index (without it the set is one component).
 func TestComponentsMatchWholeSet(t *testing.T) {
 	r := rand.New(rand.NewSource(20261017))
 	sc := &Scratch{}
-	var withG, invalid, multi int
+	var withG, invalid, multi, shared int
 	for trial := 0; trial < 600; trial++ {
 		c := randomCase(r)
 		cfg, oracle := caseConfigs(c, sc, trial%4 != 0, nil)
-		checkComponentCase(t, "trial "+strconv.Itoa(trial), c, cfg, oracle, nil)
+		shared += checkComponentCase(t, "trial "+strconv.Itoa(trial), c, cfg, oracle, nil)
 		if len(c.G) > 0 {
 			withG++
 		}
@@ -155,8 +160,9 @@ func TestComponentsMatchWholeSet(t *testing.T) {
 			multi++
 		}
 	}
-	if withG == 0 || invalid == 0 || multi == 0 {
-		t.Fatalf("coverage: %d cases with GA constraints, %d invalid on C, %d with several components", withG, invalid, multi)
+	if withG == 0 || invalid == 0 || multi == 0 || shared == 0 {
+		t.Fatalf("coverage: %d cases with GA constraints, %d invalid on C, %d with several components, %d shared Parts",
+			withG, invalid, multi, shared)
 	}
 }
 
@@ -204,8 +210,8 @@ func TestComponentsMatchBelowThetaIndex(t *testing.T) {
 // TestComponentMemoIsExact reuses Parts by key across a walk of
 // neighboring candidate sets on one universe — the tabu shape, where most
 // components repeat — and requires every composed Result to equal
-// whole-set Match. A key that named two different components would hand
-// one set another set's Part.
+// whole-set Match. A key that named two components Algorithm 1 can tell
+// apart would hand one set another set's Part.
 func TestComponentMemoIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for walk := 0; walk < 40; walk++ {
@@ -310,4 +316,216 @@ func BenchmarkComponentsMatch(b *testing.B) {
 		}
 		cs.Match(idx)
 	}
+}
+
+// labelMeasure scores names through per-family label-pair tables: a name
+// is a family letter and a number, labels maps each name to its label,
+// and names of different families score 0.
+type labelMeasure struct {
+	tabs   map[byte][][]float64
+	labels map[string]int
+}
+
+func (labelMeasure) Name() string { return "label-table" }
+
+func (m labelMeasure) Score(a, b string) float64 {
+	if a[0] != b[0] {
+		return 0
+	}
+	return m.tabs[a[0]][m.labels[a]][m.labels[b]]
+}
+
+// TestShapeKeyAdjacency pins the adjacency bits of the shape key on the
+// smallest case where they matter. Names a, b and c score 0.9 (a, b) and
+// 0.5 (a, c), (b, c) at θ = 0.4; slot A carries a in one source, slots B
+// and C carry b and c in another. When the index lists (a, b), A merges
+// with B; when it leaves (a, b) out, as MinHash can, A pairs only with C
+// and merges with it, and B cannot join. The two components have equal
+// scores and must still get different keys, and reusing Parts by key
+// across them must reproduce whole-set Match on each.
+func TestShapeKeyAdjacency(t *testing.T) {
+	tab := [][]float64{{1, 0.9, 0.5}, {0.9, 1, 0.5}, {0.5, 0.5, 1}}
+	m := labelMeasure{tabs: map[byte][][]float64{'p': tab, 'q': tab}, labels: map[string]int{}}
+	sim := strsim.NewCache(m)
+	for _, fam := range []string{"p", "q"} {
+		for l := range 3 {
+			m.labels[fam+strconv.Itoa(l)] = l
+			sim.Intern(fam + strconv.Itoa(l))
+		}
+	}
+	u := mkUniverse([]string{"p0"}, []string{"p1", "p2"}, []string{"q0"}, []string{"q1", "q2"})
+	nbrs := [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {3, 5}, {4, 5}, {3, 4, 5}} // (q0, q1) left out
+	cfg := Config{Theta: 0.4, Beta: 2, Sim: sim, Scores: mustMatrix(sim), Neighbors: nbrs, Scratch: &Scratch{}}
+	oracle := cfg
+	oracle.Scratch, oracle.LegacyAgenda = nil, true
+	memo := map[string]*Part{}
+	var keys []string
+	for _, S := range [][]int{{0, 1}, {2, 3}} {
+		c := componentCase{u: u, S: S, theta: cfg.Theta, beta: cfg.Beta}
+		checkComponentCase(t, "S="+strconv.Itoa(S[0]), c, cfg, oracle, memo)
+		keys = append(keys, string(Split(u, S, nil, cfg).Key(0)))
+	}
+	if keys[0] == keys[1] {
+		t.Fatalf("components that differ only in an index link share the key %x", keys[0])
+	}
+	if len(memo) != 2 || reflect.DeepEqual(memo[keys[0]], memo[keys[1]]) {
+		t.Fatalf("the two components should cluster differently, got Parts %+v", memo)
+	}
+}
+
+// FuzzShapeIsomorphism checks the shape key's claim: equal keys mean
+// bit-equal Parts. The bytes draw up to eight names (family p) with a
+// table of scores from a small set, so that ties are common, and an
+// adjacency index that disagrees with the scores on about a fifth of the
+// name pairs: it misses pairs scoring ≥ θ, as the MinHash index can, and
+// lists pairs under θ, as an index built at a lower θ does. The copy
+// renames every name through a random permutation (family q, interned
+// after p in another order, so name IDs compare differently) with the
+// scores and adjacency carried over, and moves the sources to other IDs in
+// the same relative order. Splitting both copies must give the same keys
+// and, from fresh runs, bit-equal Parts. In a third of the inputs the copy
+// changes one score, and in another third one index link; then the keys
+// may differ, but where they are equal the Parts must be too. mode picks
+// the scorer: bit 0 scores through the Cache instead of the dense matrix,
+// so the agenda keys pairs by rank; bit 1 drops the index, so each copy is
+// one component.
+func FuzzShapeIsomorphism(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(6), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(9), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(8), uint8(14), uint8(2), uint8(1))
+	f.Add(int64(4), uint8(5), uint8(11), uint8(3), uint8(2))
+	f.Add(int64(5), uint8(3), uint8(20), uint8(1), uint8(3))
+	f.Add(int64(6), uint8(3), uint8(4), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, kSel, nSel, thetaSel, mode uint8) {
+		r := rand.New(rand.NewSource(seed))
+		k, n := 1+int(kSel)%maxShapeNames, 2+int(nSel)%16
+		theta := []float64{0.5, 0.6, 0.65, 0.8}[int(thetaSel)%4]
+		levels := []float64{0, 0.2, 0.5, 0.6, 0.65, 0.7, 0.8, 1}
+		square := func() [][]float64 {
+			out := make([][]float64, k)
+			for i := range k {
+				out[i] = make([]float64, k)
+			}
+			return out
+		}
+		tab, listed := square(), square() // listed[i][j] is 1 when the index lists the pair
+		for i := range k {
+			for j := i; j < k; j++ {
+				s := 1.0
+				if i != j {
+					s = levels[r.Intn(len(levels))]
+				}
+				tab[i][j], tab[j][i] = s, s
+				if (s >= theta) != (r.Intn(5) == 0) {
+					listed[i][j], listed[j][i] = 1, 1
+				}
+			}
+		}
+		// The copy's tables: equal, or with one pair's score or link changed.
+		variant, i0, j0 := r.Intn(3), r.Intn(k), r.Intn(k)
+		qtab, qlisted := square(), square()
+		for i := range k {
+			copy(qtab[i], tab[i])
+			copy(qlisted[i], listed[i])
+		}
+		switch {
+		case variant == 1 && i0 != j0:
+			s := levels[r.Intn(len(levels))]
+			qtab[i0][j0], qtab[j0][i0] = s, s
+		case variant == 2:
+			qlisted[i0][j0], qlisted[j0][i0] = 1-listed[i0][j0], 1-listed[i0][j0]
+		}
+		perm := r.Perm(k) // label i is renamed q<perm[i]>
+		name := func(fam byte, i int) string {
+			if fam == 'q' {
+				i = perm[i]
+			}
+			return string(fam) + strconv.Itoa(i)
+		}
+		m := labelMeasure{tabs: map[byte][][]float64{'p': tab, 'q': qtab}, labels: map[string]int{}}
+		sim := strsim.NewCache(m)
+		ids := map[byte][]int{'p': make([]int, k), 'q': make([]int, k)}
+		for i := range k {
+			m.labels[name('p', i)], m.labels[name('q', i)] = i, i
+			ids['p'][i] = sim.Intern(name('p', i))
+		}
+		for _, i := range r.Perm(k) {
+			ids['q'][i] = sim.Intern(name('q', i))
+		}
+		nbrs := make([][]int, sim.Len())
+		for fam, lst := range map[byte][][]float64{'p': listed, 'q': qlisted} {
+			for i := range k {
+				for j := range k {
+					if lst[i][j] == 1 {
+						nbrs[ids[fam][i]] = append(nbrs[ids[fam][i]], ids[fam][j])
+					}
+				}
+				slices.Sort(nbrs[ids[fam][i]])
+			}
+		}
+
+		// Source j of each family draws its labels at random; the families'
+		// sources interleave at random, each family keeping its order.
+		var schemas [][]string
+		S := map[byte][]int{}
+		labelsOf := make([][]int, n)
+		for j := range n {
+			for range 1 + r.Intn(4) {
+				labelsOf[j] = append(labelsOf[j], r.Intn(k))
+			}
+		}
+		next := map[byte]int{}
+		for _, fam := range interleave(r, n) {
+			var attrs []string
+			for _, l := range labelsOf[next[fam]] {
+				attrs = append(attrs, name(fam, l))
+			}
+			S[fam] = append(S[fam], len(schemas))
+			schemas = append(schemas, attrs)
+			next[fam]++
+		}
+		u := mkUniverse(schemas...)
+		cfg := Config{Theta: theta, Beta: 1 + r.Intn(3), Sim: sim}
+		if mode&1 == 0 {
+			cfg.Scores = mustMatrix(sim)
+		}
+		if mode&2 == 0 {
+			cfg.Neighbors = nbrs
+		}
+		var split [2]*Components
+		for x, fam := range []byte{'p', 'q'} {
+			cfg.Scratch = &Scratch{}
+			cs := Split(u, S[fam], nil, cfg)
+			var all []int
+			for i := range cs.Len() {
+				all = append(all, i)
+			}
+			cs.Match(all)
+			split[x] = cs
+		}
+		a, b := split[0], split[1]
+		if variant == 0 && a.Len() != b.Len() {
+			t.Fatalf("the copy splits into %d components, the original into %d", b.Len(), a.Len())
+		}
+		for i := range min(a.Len(), b.Len()) {
+			if !bytes.Equal(a.Key(i), b.Key(i)) {
+				if variant == 0 {
+					t.Fatalf("component %d: the copy's key %x differs from the original's %x", i, b.Key(i), a.Key(i))
+				}
+				continue
+			}
+			pa, pb := a.Part(i), b.Part(i)
+			if !reflect.DeepEqual(pa.GAs, pb.GAs) || !reflect.DeepEqual(pa.FromConstraint, pb.FromConstraint) ||
+				!slices.EqualFunc(pa.Quality, pb.Quality, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("component %d (key %x): the copy's Part %+v differs from the original's %+v", i, a.Key(i), pb, pa)
+			}
+		}
+	})
+}
+
+// interleave returns a random sequence of n 'p's and n 'q's.
+func interleave(r *rand.Rand, n int) []byte {
+	out := append(bytes.Repeat([]byte{'p'}, n), bytes.Repeat([]byte{'q'}, n)...)
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }

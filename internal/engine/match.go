@@ -6,13 +6,15 @@ import (
 	"ube/internal/cluster"
 	"ube/internal/model"
 	"ube/internal/trace"
+	"ube/internal/ubedebug"
 )
 
 // This file holds the solve's F1 path: Match(S) evaluated one θ-component
 // at a time (see cluster.Split), with a per-solve memo of component
-// results. Tabu moves add or drop a source or two, so most of a
-// candidate's components were already clustered for an earlier candidate;
-// only the components a move reshapes run Algorithm 1 again.
+// results keyed by shape (see cluster.Components.Key). Tabu moves add or
+// drop a source or two, so most of a candidate's components were already
+// clustered for an earlier candidate, and most of the rest repeat the
+// shape of one that was; only new shapes run Algorithm 1.
 
 // componentMemoLimit bounds the per-solve component memo. A miss that
 // finds it full first drops every finished entry: results never depend
@@ -68,7 +70,7 @@ func (m *matcher) split(S *model.SourceSet, ws *evalScratch) *cluster.Components
 	cfg.Scratch = &ws.cluster
 	ws.ids = S.AppendElements(ws.ids[:0])
 	cs := cluster.Split(m.e.u, ws.ids, m.G, cfg)
-	ws.missing, ws.waiting, ws.claimed, ws.waitOn = ws.missing[:0], ws.waiting[:0], ws.claimed[:0], ws.waitOn[:0]
+	ws.missing, ws.waiting, ws.claimed, ws.waitOn, ws.audit = ws.missing[:0], ws.waiting[:0], ws.claimed[:0], ws.waitOn[:0], ws.audit[:0]
 	if m.memo == nil {
 		for i := 0; i < cs.Len(); i++ {
 			ws.missing = append(ws.missing, i)
@@ -79,6 +81,9 @@ func (m *matcher) split(S *model.SourceSet, ws *evalScratch) *cluster.Components
 	m.memo.claim(cs, ws, cfg.Stats)
 	cs.Match(ws.missing)
 	m.memo.settle(cs, ws)
+	for _, i := range ws.audit {
+		cs.Audit(i)
+	}
 	return cs
 }
 
@@ -94,21 +99,23 @@ func (m *matcher) stats() CacheStats {
 
 // evalScratch is one evaluation worker's reusable memory.
 type evalScratch struct {
-	cluster          cluster.Scratch
-	ids              []int
-	missing, waiting []int
-	claimed, waitOn  []*memoEntry
+	cluster                 cluster.Scratch
+	ids                     []int
+	missing, waiting, audit []int // audit: the hits the ubedebug build re-checks
+	claimed, waitOn         []*memoEntry
 }
 
-// componentMemo maps component keys (cluster.Components.Key) to their
-// Parts for one solve; the key is exact for the solve's fixed clustering
-// parameters. A component is computed once: the first worker to miss on
-// a key claims it, and any other worker that needs it meanwhile waits for
-// the claimer to publish. So misses count distinct keys and hits the
-// rest, whatever the number of workers, and every component's clustering
-// work is counted exactly once, which keeps the trace counters
-// deterministic. Only after the memo has overflowed do the counts depend
-// on scheduling.
+// componentMemo maps component keys (cluster.Components.Key), shape keys
+// and identity keys alike, to their Parts for one solve; a key is exact
+// for the solve's fixed clustering parameters. A key is computed once:
+// the first worker to miss on it claims it, and any other worker that
+// needs it meanwhile waits for the claimer to publish. So misses count
+// distinct keys (mostly shapes) and hits the rest, whatever the number of
+// workers, and every key's clustering work is counted exactly once, which
+// keeps the trace counters deterministic. Only after the memo has
+// overflowed do the counts depend on scheduling. The memo is per solve on
+// purpose: shared across solves, it would make one session's counters
+// depend on another's.
 type componentMemo struct {
 	mu      sync.Mutex
 	ready   sync.Cond // signalled when claimed entries are published
@@ -142,6 +149,9 @@ func (mm *componentMemo) claim(cs *cluster.Components, ws *evalScratch, st *trac
 		key := cs.Key(i)
 		if e, ok := mm.entries[string(key)]; ok {
 			hits++
+			if ubedebug.Enabled && ubedebug.ShouldAudit() {
+				ws.audit = append(ws.audit, i)
+			}
 			if e.part != nil {
 				cs.Set(i, e.part)
 			} else {

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ube/internal/model"
+	"ube/internal/strsim"
+	"ube/internal/synth"
 )
 
 // canonicalSolution strips the operational telemetry (wall-clock time,
@@ -183,4 +187,126 @@ func TestComponentMemoOverCap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMatchCacheUnderMinHash solves with the component memo on and off
+// under the MinHash blocking index, at Workers 1 and 4, and requires
+// identical solutions. MinHash can leave a pair scoring ≥ θ out of the
+// index while SparseScores.Score still returns its exact score, and the
+// agenda finds such a pair only through other links, so two components
+// with equal scores but different index links can cluster differently;
+// the shape key's adjacency bits keep them apart. Names made of two words
+// from a small list give many pairs near θ = 0.4, where MinHash misses
+// some, and the test requires that a component the solves cluster holds
+// such a pair, or it would not exercise those bits.
+func TestMatchCacheUnderMinHash(t *testing.T) {
+	words := []string{"customer", "address", "line", "name", "first", "last", "billing", "shipping",
+		"street", "city", "zip", "code", "phone", "number", "title", "book"}
+	r := rand.New(rand.NewSource(3))
+	var vocab []string
+	for len(vocab) < 60 {
+		a, b := words[r.Intn(len(words))], words[r.Intn(len(words))]
+		if a != b && !slices.Contains(vocab, a+" "+b) {
+			vocab = append(vocab, a+" "+b)
+		}
+	}
+	u, _, err := synth.Generate(synth.QuickConfig(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range u.Sources {
+		u.Sources[i].Attributes = u.Sources[i].Attributes[:0]
+		for _, j := range r.Perm(len(vocab))[:6] {
+			u.Sources[i].Attributes = append(u.Sources[i].Attributes, vocab[j])
+		}
+	}
+	opts := []Option{WithSparseScores(), WithBlocking(strsim.BlockConfig{Mode: strsim.BlockMinHash})}
+	on, err := New(u, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := New(u, append(opts, WithoutMatchCache())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missed := 0
+	for pi, p := range memoProblems() {
+		p.Theta, p.MaxSources = 0.4, 20
+		for _, workers := range []int{1, 4} {
+			p.Workers = workers
+			got, err := on.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := off.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonicalSolution(got), canonicalSolution(want)) {
+				t.Fatalf("problem %d workers=%d: memoized solve %v q=%v differs from unmemoized %v q=%v",
+					pi, workers, got.Sources, got.Quality, want.Sources, want.Quality)
+			}
+			if got.MatchCache.Hits == 0 {
+				t.Fatalf("problem %d workers=%d: no memo hits", pi, workers)
+			}
+			missed += missedPairs(on, got.Sources, p.Theta)
+		}
+	}
+	if missed == 0 {
+		t.Fatal("coverage: no clustered component holds a ≥ θ name pair the MinHash index leaves out")
+	}
+}
+
+// missedPairs counts the name pairs scoring ≥ θ that the engine's index
+// leaves out, within the θ-components of S that span two or more sources:
+// the components the final Match clusters.
+func missedPairs(e *Engine, S []int, theta float64) int {
+	scores, nbrs := e.scoresFor(theta, nil)
+	parent := map[int]int{}
+	var find func(int) int
+	find = func(x int) int {
+		if p, ok := parent[x]; ok && p != x {
+			parent[x] = find(p)
+			return parent[x]
+		}
+		parent[x] = x
+		return x
+	}
+	srcs := map[int]map[int]bool{} // name -> sources carrying it
+	for _, s := range S {
+		for _, n := range e.nameIDs[s] {
+			find(n)
+			if srcs[n] == nil {
+				srcs[n] = map[int]bool{}
+			}
+			srcs[n][s] = true
+		}
+	}
+	for a := range parent {
+		for _, b := range nbrs[a] {
+			if _, ok := parent[b]; ok {
+				parent[find(a)] = find(b)
+			}
+		}
+	}
+	spans := map[int]map[int]bool{} // component root -> its sources
+	for n, ss := range srcs {
+		r := find(n)
+		if spans[r] == nil {
+			spans[r] = map[int]bool{}
+		}
+		for s := range ss {
+			spans[r][s] = true
+		}
+	}
+	missed := 0
+	for a := range srcs {
+		for b := range srcs {
+			if a < b && find(a) == find(b) && len(spans[find(a)]) >= 2 &&
+				scores.Score(a, b) >= theta && !slices.Contains(nbrs[a], b) {
+				missed++
+			}
+		}
+	}
+	return missed
 }

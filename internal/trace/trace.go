@@ -44,13 +44,16 @@ const (
 	CSearchEvals Counter = iota
 	// CSearchBatches counts parallel candidate-evaluation batches.
 	CSearchBatches
-	// CMatchRuns counts Algorithm 1 runs: one per θ-component clustered
-	// (a component memo miss), one per whole-set Match call.
+	// CMatchRuns counts Algorithm 1 runs: one per component memo miss,
+	// i.e. per distinct shape a solve clusters (a component with a GA
+	// constraint or more than 8 names counts as its own shape), and one
+	// per whole-set Match call.
 	CMatchRuns
-	// CMatchHits counts component memo hits.
+	// CMatchHits counts component memo hits: components that took the
+	// Part of an earlier component of the same shape.
 	CMatchHits
-	// CMatchMisses counts component memo misses: the distinct components
-	// a solve clusters.
+	// CMatchMisses counts component memo misses: the distinct shapes a
+	// solve clusters.
 	CMatchMisses
 	// CClusterRounds counts agenda rounds across clustering runs.
 	CClusterRounds
