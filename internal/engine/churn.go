@@ -7,7 +7,9 @@ import (
 
 	"ube/internal/model"
 	"ube/internal/pcsa"
+	"ube/internal/qef"
 	"ube/internal/strsim"
+	"ube/internal/ubedebug"
 )
 
 // This file implements universe mutation (churn): sources appearing,
@@ -83,40 +85,54 @@ func (e *PinnedSourceError) Error() string {
 }
 
 // churnEvent is the part of one add/remove that the incremental
-// structures consume: attribute names and the tuple signature. Updates
-// generate no event — they touch neither the vocabulary nor the union.
+// structures consume: the source's interned name IDs and its tuple
+// signature. Updates generate no event — they touch neither the
+// vocabulary nor the union.
 type churnEvent struct {
 	remove bool
-	attrs  []string
-	sig    *pcsa.Sketch
+	// attrs names an added source's attributes; a remove needs no names.
+	attrs []string
+	// row is the source's nameIDs row: a remove reads its IDs, and an
+	// add fills it at commit, so a later remove of the same source in
+	// the batch reads the IDs the add interned.
+	row []int
+	sig *pcsa.Sketch
 }
 
 // churnPlan is a validated batch: the would-be source slice (IDs
-// renumbered), the ID remap, and the event sequence. Planning never
-// mutates the engine, so a rejected batch is a guaranteed no-op —
-// the all-or-nothing contract the serving layer's WAL-ahead-of-apply
-// ordering relies on.
+// renumbered), the ID remap, the event sequence and the QEF delta.
+// Planning never mutates the engine, so a rejected batch is a guaranteed
+// no-op — the all-or-nothing contract the serving layer's
+// WAL-ahead-of-apply ordering relies on.
 type churnPlan struct {
-	next      []model.Source
-	remap     Remap
-	events    []churnEvent
-	hadRemove bool
+	next   []model.Source
+	remap  Remap
+	events []churnEvent
 	// rows is the post-batch nameIDs table, spliced in lockstep with
-	// next: surviving sources keep their already-interned rows and only
-	// added sources hold a nil placeholder, filled at commit. Reusing
-	// rows keeps maintenance O(batch + U) pointer moves instead of
+	// next: surviving sources keep their already-interned rows and added
+	// sources hold a row their add event fills at commit. Reusing rows
+	// keeps maintenance O(batch + U) pointer moves instead of
 	// re-normalizing and re-interning every attribute name in the
 	// universe (the dominant cost at U=10⁴).
-	rows [][]int
+	rows  [][]int
+	delta qef.Delta
 }
 
 // planChurn validates a mutation batch against the current universe and
-// builds its plan without touching any engine state. Beyond the final
-// model.Universe.Validate, it tracks the cooperative signature
-// parameters through every intermediate state, because the maintained
-// union counter sees each add/remove individually: a batch whose final
-// state validates but which transiently mixes incompatible parameters
-// is rejected here rather than exploding mid-commit.
+// builds its plan without touching any engine state. It tracks the
+// cooperative signature parameters through every intermediate state,
+// because the maintained union counter sees each add/remove
+// individually: a batch whose final state validates but which
+// transiently mixes incompatible parameters is rejected here rather than
+// exploding mid-commit.
+//
+// The verdict on the post-batch universe is model.Universe.Validate's,
+// reached from the batch alone: the current universe is valid, so only
+// the sources the batch added or overwrote need model.Source.Check,
+// against an attribute-signature reference tracked through the batch.
+// Attribute signatures feed no incremental structure, so unlike tuple
+// signatures they may mix transiently. Only when a check fails does the
+// full Validate run, to give its exact verdict and error (DESIGN.md §16).
 func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 	if len(muts) == 0 {
 		return nil, errors.New("engine: empty churn batch")
@@ -124,6 +140,9 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 	n0 := len(e.u.Sources)
 	next := append([]model.Source(nil), e.u.Sources...)
 	rows := append([][]int(nil), e.nameIDs...)
+	// fresh marks, in lockstep with next, the sources the batch added or
+	// overwrote; the others keep their pre-batch values.
+	fresh := make([]bool, n0)
 	remap := make(Remap, n0)
 	for i := range remap {
 		remap[i] = i
@@ -134,12 +153,24 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 	}
 	var cur sigParams
 	coop := 0
+	// attrProto is the reference for attribute-signature parameters. It
+	// is the current universe's first attribute signature and changes only
+	// when no live source carries any, so while an unchanged source does,
+	// it has the parameters that source shares with the rest of them.
+	var attrProto *pcsa.Sketch
+	attrs := 0
 	for i := range next {
 		if sg := next[i].Signature; sg != nil {
 			if coop == 0 {
 				cur = sigParams{sg.NumMaps(), sg.Seed()}
 			}
 			coop++
+		}
+		if as := next[i].AttrSignatures; len(as) > 0 {
+			if attrs == 0 {
+				attrProto = as[0]
+			}
+			attrs++
 		}
 	}
 	plan := &churnPlan{}
@@ -169,9 +200,17 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 				}
 				coop++
 			}
+			if as := s.AttrSignatures; len(as) > 0 {
+				if attrs == 0 {
+					attrProto = as[0]
+				}
+				attrs++
+			}
+			row := make([]int, len(s.Attributes))
 			next = append(next, s)
-			rows = append(rows, nil)
-			plan.events = append(plan.events, churnEvent{attrs: s.Attributes, sig: s.Signature})
+			rows = append(rows, row)
+			fresh = append(fresh, true)
+			plan.events = append(plan.events, churnEvent{attrs: s.Attributes, row: row, sig: s.Signature})
 		case OpRemove:
 			if m.ID < 0 || m.ID >= len(next) {
 				return nil, fmt.Errorf("engine: churn mutation %d: remove of source %d out of range [0,%d)", mi, m.ID, len(next))
@@ -180,10 +219,16 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 			if victim.Signature != nil {
 				coop--
 			}
-			plan.events = append(plan.events, churnEvent{remove: true, attrs: victim.Attributes, sig: victim.Signature})
-			plan.hadRemove = true
+			if len(victim.AttrSignatures) > 0 {
+				attrs--
+			}
+			if !fresh[m.ID] {
+				plan.delta.Gone = append(plan.delta.Gone, victim)
+			}
+			plan.events = append(plan.events, churnEvent{remove: true, row: rows[m.ID], sig: victim.Signature})
 			next = append(next[:m.ID], next[m.ID+1:]...)
 			rows = append(rows[:m.ID], rows[m.ID+1:]...)
+			fresh = append(fresh[:m.ID], fresh[m.ID+1:]...)
 			for j, c := range remap {
 				switch {
 				case c == m.ID:
@@ -195,6 +240,10 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 		case OpUpdate:
 			if m.ID < 0 || m.ID >= len(next) {
 				return nil, fmt.Errorf("engine: churn mutation %d: update of source %d out of range [0,%d)", mi, m.ID, len(next))
+			}
+			if !fresh[m.ID] {
+				plan.delta.Gone = append(plan.delta.Gone, next[m.ID])
+				fresh[m.ID] = true
 			}
 			if m.Cardinality != nil {
 				next[m.ID].Cardinality = *m.Cardinality
@@ -214,9 +263,27 @@ func (e *Engine) planChurn(muts []Mutation) (*churnPlan, error) {
 	for i := range next {
 		next[i].ID = i
 	}
-	tmp := model.Universe{Sources: next}
-	if err := tmp.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: churn batch rejected: %w", err)
+	// Validate's loop over the fresh sources alone: unchanged sources
+	// passed it before the batch. Tuple signatures were tracked above, so
+	// only the attribute signatures need a reference.
+	suspect := false
+	for i, f := range fresh {
+		if !f {
+			continue
+		}
+		plan.delta.Fresh = append(plan.delta.Fresh, i)
+		if next[i].Check(i, nil, attrProto) != nil {
+			suspect = true
+		}
+		if attrProto == nil && len(next[i].AttrSignatures) > 0 {
+			attrProto = next[i].AttrSignatures[0]
+		}
+	}
+	if suspect {
+		tmp := model.Universe{Sources: next}
+		if err := tmp.Validate(); err != nil {
+			return nil, fmt.Errorf("engine: churn batch rejected: %w", err)
+		}
 	}
 	plan.next = next
 	plan.rows = rows
@@ -263,8 +330,7 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 	sort.Float64s(thetas)
 	for _, ev := range plan.events {
 		if ev.remove {
-			for _, name := range ev.attrs {
-				id := e.sim.Intern(name)
+			for _, id := range ev.row {
 				e.nameRefs[id]--
 				if e.nameRefs[id] == 0 {
 					delete(e.nameRefs, id)
@@ -284,8 +350,9 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 			}
 			continue
 		}
-		for _, name := range ev.attrs {
+		for a, name := range ev.attrs {
 			id := e.sim.Intern(name)
+			ev.row[a] = id
 			if e.nameRefs[id] == 0 {
 				for _, th := range thetas {
 					if d := e.dynByTheta[th]; d != nil {
@@ -303,23 +370,10 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 			}
 		}
 	}
-	e.u.Sources = plan.next
 	// Surviving sources carried their interned rows through the plan's
-	// splices; only added sources (nil placeholders) intern here, and
-	// the event loop above already put their names in the vocabulary, so
-	// this assigns no new IDs. Updates never touch Attributes, so reused
-	// rows cannot go stale.
-	for i, row := range plan.rows {
-		if row != nil {
-			continue
-		}
-		attrs := e.u.Sources[i].Attributes
-		row = make([]int, len(attrs))
-		for a, name := range attrs {
-			row[a] = e.sim.Intern(name)
-		}
-		plan.rows[i] = row
-	}
+	// splices and the add events above filled the added ones. Updates
+	// never touch Attributes, so reused rows cannot go stale.
+	e.u.Sources = plan.next
 	e.nameIDs = plan.rows
 	// Frozen θ-sparse tables are stale in any mutated vocabulary; the
 	// dynamic indexes re-freeze lazily on the next solve at each θ, and
@@ -331,8 +385,18 @@ func (e *Engine) commitChurn(plan *churnPlan) {
 	} else {
 		clear(e.neighborsByTheta)
 	}
-	if err := e.ctx.Rebase(e.sigCounter.Sketch()); err != nil {
+	if err := e.ctx.Rebase(plan.delta, e.sigCounter.Sketch()); err != nil {
 		panic(fmt.Sprintf("engine: churn desync: context rebase on validated universe: %v", err))
+	}
+	if ubedebug.Enabled && ubedebug.ShouldAudit() {
+		// Sampled audit of the batch-local planning and rebase: the
+		// committed universe must pass the full Validate (inside
+		// NewContext), and the rebased context must equal a fresh one.
+		fresh, err := qef.NewContext(e.u)
+		ubedebug.Assert(err == nil, "engine: churn committed a universe Validate refuses: %v", err)
+		d := e.ctx.Diff(fresh)
+		ubedebug.Assert(d == "", "engine: rebased QEF context differs from NewContext: %s", d)
+		ubedebug.CountAudit()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"ube/internal/synth"
 	"ube/internal/trace"
 	"ube/internal/ubedebug"
 )
@@ -64,5 +65,52 @@ func TestAuditLeavesCountersUnchanged(t *testing.T) {
 		if !bytes.Equal(armed, disarmed) {
 			t.Fatalf("workers=%d: canonical traces differ with the audits armed:\n--- armed\n%s\n--- disarmed\n%s", workers, armed, disarmed)
 		}
+	}
+}
+
+// TestChurnAuditRuns proves the sampled churn audit is live under the
+// ubedebug tag: with every call sampled, each committed batch runs the
+// full Validate and compares the rebased QEF context with NewContext
+// (a divergence panics the commit), and the solve after the batches
+// traces byte-identically to one with the audits disarmed.
+func TestChurnAuditRuns(t *testing.T) {
+	cfg := synth.QuickConfig(40)
+	base, batches, err := synth.ChurnSchedule(cfg, synth.ChurnConfig{Seed: 9, Steps: 12, MinSources: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(every uint64) ([]byte, uint64) {
+		prev := ubedebug.SetAuditEvery(every)
+		defer ubedebug.SetAuditEvery(prev)
+		e, err := New(cloneUniverse(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ubedebug.Audited()
+		for _, muts := range batches {
+			if _, err := e.ApplyChurn(muts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		audits := ubedebug.Audited() - before
+		p := smallProblem()
+		tr := trace.New()
+		p.Trace = tr
+		if _, err := e.Solve(&p); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(tr.Finish().Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, audits
+	}
+	armed, audits := run(1)
+	disarmed, _ := run(math.MaxUint64)
+	if audits != uint64(len(batches)) {
+		t.Fatalf("%d churn audits ran over %d batches with every call sampled", audits, len(batches))
+	}
+	if !bytes.Equal(armed, disarmed) {
+		t.Fatalf("canonical traces differ with the churn audits armed:\n--- armed\n%s\n--- disarmed\n%s", armed, disarmed)
 	}
 }

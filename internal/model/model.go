@@ -126,44 +126,63 @@ func (u *Universe) NumAttributes() int {
 
 // Validate checks structural invariants: dense in-order IDs, non-empty
 // schemas, non-negative cardinalities, and pairwise-compatible signatures.
+// It is Source.Check on every source in order, each against the first
+// tuple and attribute signatures of the sources before it.
 func (u *Universe) Validate() error {
 	var sig, attrSig *pcsa.Sketch
 	for i := range u.Sources {
 		s := &u.Sources[i]
-		if s.ID != i {
-			return fmt.Errorf("model: source %d has ID %d; IDs must be dense and in order", i, s.ID)
+		if err := s.Check(i, sig, attrSig); err != nil {
+			return err
 		}
-		if len(s.Attributes) == 0 {
-			return fmt.Errorf("model: source %d (%s) has an empty schema", i, s.Name)
+		if sig == nil {
+			sig = s.Signature
 		}
-		if s.Cardinality < 0 {
-			return fmt.Errorf("model: source %d (%s) has negative cardinality", i, s.Name)
+		if attrSig == nil && len(s.AttrSignatures) > 0 {
+			attrSig = s.AttrSignatures[0]
 		}
-		for _, c := range s.Characteristics {
-			if c < 0 {
-				return fmt.Errorf("model: source %d (%s) has a negative characteristic; §5 requires positive reals", i, s.Name)
+	}
+	return nil
+}
+
+// Check is Universe.Validate's test of one source at index i: its ID is
+// i, its schema is non-empty, its cardinality and characteristics are
+// non-negative, and its attribute signatures are one non-nil sketch per
+// attribute. sig and attrSig are reference tuple and attribute
+// signatures that the source's own must be compatible with; nil accepts
+// any, and a source's attribute signatures must still agree with each
+// other. Because compatibility is equality of parameters, a universe
+// whose sources all pass Check against its first signatures is valid.
+func (s *Source) Check(i int, sig, attrSig *pcsa.Sketch) error {
+	if s.ID != i {
+		return fmt.Errorf("model: source %d has ID %d; IDs must be dense and in order", i, s.ID)
+	}
+	if len(s.Attributes) == 0 {
+		return fmt.Errorf("model: source %d (%s) has an empty schema", i, s.Name)
+	}
+	if s.Cardinality < 0 {
+		return fmt.Errorf("model: source %d (%s) has negative cardinality", i, s.Name)
+	}
+	for _, c := range s.Characteristics {
+		if c < 0 {
+			return fmt.Errorf("model: source %d (%s) has a negative characteristic; §5 requires positive reals", i, s.Name)
+		}
+	}
+	if s.Signature != nil && sig != nil && !sig.Compatible(s.Signature) {
+		return fmt.Errorf("model: source %d (%s) signature parameters differ from earlier sources", i, s.Name)
+	}
+	if s.AttrSignatures != nil {
+		if len(s.AttrSignatures) != len(s.Attributes) {
+			return fmt.Errorf("model: source %d (%s) has %d attribute signatures for %d attributes", i, s.Name, len(s.AttrSignatures), len(s.Attributes))
+		}
+		for a, as := range s.AttrSignatures {
+			if as == nil {
+				return fmt.Errorf("model: source %d (%s) attribute %d has a nil signature; omit AttrSignatures entirely instead", i, s.Name, a)
 			}
-		}
-		if s.Signature != nil {
-			if sig == nil {
-				sig = s.Signature
-			} else if !sig.Compatible(s.Signature) {
-				return fmt.Errorf("model: source %d (%s) signature parameters differ from earlier sources", i, s.Name)
-			}
-		}
-		if s.AttrSignatures != nil {
-			if len(s.AttrSignatures) != len(s.Attributes) {
-				return fmt.Errorf("model: source %d (%s) has %d attribute signatures for %d attributes", i, s.Name, len(s.AttrSignatures), len(s.Attributes))
-			}
-			for a, as := range s.AttrSignatures {
-				if as == nil {
-					return fmt.Errorf("model: source %d (%s) attribute %d has a nil signature; omit AttrSignatures entirely instead", i, s.Name, a)
-				}
-				if attrSig == nil {
-					attrSig = as
-				} else if !attrSig.Compatible(as) {
-					return fmt.Errorf("model: source %d (%s) attribute signature parameters differ from earlier sources", i, s.Name)
-				}
+			if attrSig == nil {
+				attrSig = as
+			} else if !attrSig.Compatible(as) {
+				return fmt.Errorf("model: source %d (%s) attribute signature parameters differ from earlier sources", i, s.Name)
 			}
 		}
 	}

@@ -10,6 +10,7 @@
 package qef
 
 import (
+	"math"
 	"sync"
 
 	"ube/internal/floats"
@@ -38,10 +39,17 @@ type Context struct {
 	universeDistinct float64
 	// charRange caches [min,max] of each characteristic across U.
 	charRange map[string][2]float64
+	// nanChars counts the NaN characteristic values in U. A NaN held by
+	// a name's first source pins its range at NaN, so Rebase folds
+	// ranges incrementally only while there are none.
+	nanChars int
 	// scratch pools union sketches so concurrent Eval calls (parallel
 	// solvers fan candidate evaluations across cores) don't allocate
 	// one per estimate. Nil when no source cooperates.
 	scratch *sync.Pool
+	// proto is the scratch pool's prototype: U's first cooperative
+	// signature when the pool was made.
+	proto *pcsa.Sketch
 }
 
 // NewContext validates the universe and precomputes shared state.
@@ -49,47 +57,93 @@ func NewContext(u *model.Universe) (*Context, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	ctx := &Context{
-		U:         u,
-		totalCard: u.TotalCardinality(),
-		charRange: make(map[string][2]float64),
-	}
-	for i := range u.Sources {
-		s := &u.Sources[i]
-		if s.Signature != nil && ctx.scratch == nil {
-			proto := s.Signature
-			ctx.scratch = &sync.Pool{New: func() any {
-				sk := proto.Clone()
-				sk.Reset()
-				return sk
-			}}
-		}
-		// Min/max folds commute, so visiting one source's characteristics
-		// in map order cannot change the resulting ranges.
-		//ube:nondeterministic-ok per-key min/max fold is order-independent
-		for name, v := range s.Characteristics {
-			r, ok := ctx.charRange[name]
-			if !ok {
-				ctx.charRange[name] = [2]float64{v, v}
-				continue
-			}
-			if v < r[0] {
-				r[0] = v
-			}
-			if v > r[1] {
-				r[1] = v
-			}
-			ctx.charRange[name] = r
-		}
-	}
-	if ctx.scratch != nil {
-		all := model.NewSourceSet(u.N())
-		for i := range u.Sources {
-			all.Add(i)
-		}
-		ctx.universeDistinct = ctx.stats(all, true).distinct
-	}
+	ctx := &Context{U: u, totalCard: u.TotalCardinality()}
+	ctx.useScratch(firstSignature(u))
+	ctx.scanRanges()
+	ctx.universeDistinct = ctx.distinctAll(nil)
 	return ctx, nil
+}
+
+// firstSignature returns the first cooperative source's signature, nil
+// when no source cooperates.
+func firstSignature(u *model.Universe) *pcsa.Sketch {
+	for i := range u.Sources {
+		if sg := u.Sources[i].Signature; sg != nil {
+			return sg
+		}
+	}
+	return nil
+}
+
+// useScratch points the scratch pool at proto, nil when no source
+// cooperates. A pool whose prototype has proto's parameters is kept: its
+// sketches are reset clones, so they depend on nothing else.
+func (ctx *Context) useScratch(proto *pcsa.Sketch) {
+	switch {
+	case proto == nil:
+		ctx.scratch, ctx.proto = nil, nil
+	case ctx.proto != nil && ctx.proto.Compatible(proto):
+	default:
+		ctx.scratch = &sync.Pool{New: func() any {
+			sk := proto.Clone()
+			sk.Reset()
+			return sk
+		}}
+		ctx.proto = proto
+	}
+}
+
+// scanRanges rebuilds every characteristic range and the NaN count from
+// all of U.
+func (ctx *Context) scanRanges() {
+	ctx.charRange = make(map[string][2]float64)
+	ctx.nanChars = 0
+	for i := range ctx.U.Sources {
+		// Names fold independently, so visiting one source's
+		// characteristics in map order cannot change the ranges.
+		//ube:nondeterministic-ok per-key min/max fold is order-independent
+		for name, v := range ctx.U.Sources[i].Characteristics {
+			if math.IsNaN(v) {
+				ctx.nanChars++
+			}
+			ctx.widen(name, v)
+		}
+	}
+}
+
+// widen folds v into name's range as a scan in source order does: a
+// bound moves only when v is strictly beyond it, so the first source to
+// hold an extreme value sets its bits.
+func (ctx *Context) widen(name string, v float64) {
+	r, ok := ctx.charRange[name]
+	if !ok {
+		ctx.charRange[name] = [2]float64{v, v}
+		return
+	}
+	if v < r[0] {
+		r[0] = v
+	}
+	if v > r[1] {
+		r[1] = v
+	}
+	ctx.charRange[name] = r
+}
+
+// distinctAll is the universe-distinct estimate: 0 when no source
+// cooperates, union's estimate when the caller maintains the cooperative
+// union, else the estimate of a fresh union over every source.
+func (ctx *Context) distinctAll(union *pcsa.Sketch) float64 {
+	switch {
+	case ctx.scratch == nil:
+		return 0
+	case union != nil:
+		return union.Estimate()
+	}
+	all := model.NewSourceSet(ctx.U.N())
+	for i := range ctx.U.Sources {
+		all.Add(i)
+	}
+	return ctx.stats(all, true).distinct
 }
 
 // TotalCardinality returns Σ_{t∈U}|t|.

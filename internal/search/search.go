@@ -516,7 +516,7 @@ func removable(S *model.SourceSet, required []int) []int {
 
 // addable returns the pool sources not in S, sorted.
 func addable(S *model.SourceSet, pool []int) []int {
-	var out []int
+	out := make([]int, 0, len(pool))
 	for _, id := range pool {
 		if !S.Has(id) {
 			out = append(out, id)
