@@ -12,7 +12,6 @@ import (
 
 	"ube/internal/cluster"
 	"ube/internal/engine"
-	"ube/internal/experiments"
 	"ube/internal/model"
 	"ube/internal/pcsa"
 	"ube/internal/search"
@@ -230,50 +229,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			}
 			b.ReportMetric(q, "quality")
 		})
-	}
-}
-
-// BenchmarkIncrementalEval isolates the incremental evaluation pipeline —
-// heap clustering agenda, delta-aware objective and incumbent snapshot
-// cache — against the seed path (WithLegacyEvaluation) on the hardest
-// unconstrained Figure 6 cells at quick scale. `ube-bench -exp
-// incremental` runs the same ablation at paper scale (N=200, m=40/50) and
-// records it in BENCH_incremental.json.
-func BenchmarkIncrementalEval(b *testing.B) {
-	ms, n := experiments.IncrementalMs(experiments.Options{Quick: true})
-	cfg := synth.QuickConfig(n)
-	u, _, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"legacy", "incremental"} {
-		for _, m := range ms {
-			b.Run(fmt.Sprintf("%s/m=%d", mode, m), func(b *testing.B) {
-				var opts []engine.Option
-				if mode == "legacy" {
-					opts = append(opts, engine.WithLegacyEvaluation())
-				}
-				// Fresh engine per sub-benchmark so neither pipeline
-				// rides the other's match memo.
-				e, err := engine.New(u, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := engine.DefaultProblem()
-				p.MaxSources = m
-				p.MaxEvals = 2000
-				q := 0.0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sol, err := e.Solve(&p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					q = sol.Quality
-				}
-				b.ReportMetric(q, "quality")
-			})
-		}
 	}
 }
 

@@ -11,15 +11,16 @@ import (
 )
 
 // This file implements the agenda scheduling of Algorithm 1's merge
-// rounds. The legacy path (run in cluster.go) re-enumerates, re-scores and
-// re-sorts every candidate pair on every round: O(rounds × pairs log
-// pairs) with the pair scoring itself repeated each round. The agenda
-// scores each pair exactly once and carries it across rounds:
+// rounds. Algorithm 1 as written (and its transcription in
+// algorithm1_test.go, the reference Match is tested against) re-enumerates,
+// re-scores and re-sorts every candidate pair on every round: O(rounds ×
+// pairs log pairs) with the pair scoring itself repeated each round. The
+// agenda scores each pair exactly once and carries it across rounds:
 //
 //   - every pair is scored when one of its endpoints is created (at seed
 //     time, or when a merge gives birth to a cluster);
 //   - each round walks the candidate pairs in best-first order,
-//     replicating the legacy sorted walk entry for entry;
+//     replicating the transcription's sorted walk entry for entry;
 //   - pairs whose endpoints both survive a round un-merged (necessarily
 //     source-overlapping pairs, which can never merge) are carried to the
 //     next round with their cached similarity — never re-scored. Because
@@ -39,9 +40,9 @@ import (
 //     filter drops it after the walk, so every entry a walk meets joins
 //     two clusters of that round's list.
 //
-// The result is byte-identical to the legacy path (the differential test
-// in agenda_test.go proves it on random universes). The equivalence rests
-// on two facts worked out from run()'s semantics:
+// The result is byte-identical to the transcription (the differential
+// tests in agenda_test.go check it on random universes). The equivalence
+// rests on two facts worked out from Algorithm 1's semantics:
 //
 //  1. A pair that survives a round with both endpoints free is source-
 //     overlapping: a disjoint pair with both endpoints free merges the
@@ -49,13 +50,13 @@ import (
 //     never need rescoring, and every merge in round r involves at least
 //     one cluster born in round r−1 (or round 1's seeds).
 //
-//  2. The legacy tiebreak for equal similarities is the pair of slice
-//     positions, and the next round's slice is born-in-merge-order
-//     followed by survivors in previous order. Assigning each born
-//     cluster an ord below every existing cluster's (increasing within
-//     one round's born list) therefore keeps ord-order identical to
-//     slice-position order in every round, so the priority
-//     (sim desc, ordLo asc, ordHi asc) walks in the legacy order.
+//  2. The transcription breaks ties between equal similarities by the
+//     pair of list positions, and its next round's list is
+//     born-in-merge-order followed by survivors in previous order.
+//     Assigning each born cluster an ord below every existing cluster's
+//     (increasing within one round's born list) therefore keeps
+//     ord-order identical to list-position order in every round, so the
+//     priority (sim desc, ordLo asc, ordHi asc) walks in its order.
 //
 // An entry is one uint64 (see pack): the similarity key in the top 30
 // bits, then the two endpoint ords, 17 bits each. Unsigned < on the word
@@ -120,7 +121,7 @@ func unpack(e uint64) (ordA, ordB int32) {
 // order-isomorphic to their values; scores in [0,1] keep the pattern
 // below 2^30. The key is bit-inverted so that ascending key order is
 // descending similarity: equal sims share a key and distinct sims order
-// strictly, preserving the legacy walk order tie-for-tie.
+// strictly, preserving Algorithm 1's walk order tie-for-tie.
 func simKey30(sim float64) uint32 {
 	return 0x3FFFFFFF - math.Float32bits(float32(sim))
 }
@@ -211,7 +212,7 @@ func (ag *agenda) rankKey(s float64) uint32 {
 
 // runAgenda executes the merge rounds of Algorithm 1 (lines 5–23) on the
 // sorted-run agenda. It produces the same cluster list, in the same order,
-// as run(). When preGathered is set, seedQ is the unsorted round-1 agenda
+// as Algorithm 1 run round by round (algorithm1_test.go). When preGathered is set, seedQ is the unsorted round-1 agenda
 // (from SeedPairs) and the seed enumeration is skipped; the gather only
 // happens with a strsim.Table scorer, so its keys are simKey30 keys.
 func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Config, sc *Scratch) []*workCluster {
@@ -285,9 +286,9 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 
 		// Walk the round's pairs best-first by merging the two sorted
 		// streams: the carried queue and the round's fresh pairs. The
-		// walk observes exactly the merged/free states the legacy
-		// sorted walk observes, because the merged order equals the
-		// legacy sort order and both walks mutate state identically.
+		// walk observes exactly the merged/free states Algorithm 1's
+		// sorted walk observes, because the merged order equals its
+		// sort order and both walks mutate state identically.
 		// Every entry joins two clusters of the round's list: no
 		// cluster is eliminated during a walk.
 		qi, fi := 0, 0
@@ -339,8 +340,8 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 		}
 
 		// Eliminate clusters that can never merge again (lines 20–22)
-		// and splice the newborns in front, exactly like the legacy
-		// next-round slice.
+		// and splice the newborns in front, exactly like Algorithm 1's
+		// next-round list.
 		next := born
 		for _, c := range clusters {
 			switch {
@@ -383,8 +384,8 @@ func runAgenda(clusters []*workCluster, seedQ []uint64, preGathered bool, cfg Co
 		queue = keep
 
 		// Rank the newborns below every existing cluster, preserving
-		// their merge order, so ord-order keeps matching the legacy
-		// slice order, and give each the arena slot of its ord.
+		// their merge order, so ord-order keeps matching Algorithm 1's
+		// list order, and give each the arena slot of its ord.
 		minOrd -= int32(len(born))
 		for i, c := range born {
 			c.ord = minOrd + int32(i)
@@ -439,12 +440,11 @@ func (ag *agenda) unindex(list []*workCluster) {
 
 // appendIndexed appends c's candidate pairs found through the ≥θ name
 // adjacency index: c against every cluster ranked after it that carries a
-// neighbor of one of c's names (the same enumeration as
-// collectPairsIndexed). The owners lists hold only the clusters alive and
-// un-merged at the start of the round, and the x.ord > c.ord filter pushes
-// each pair from its smaller-ord side exactly once — for that to cover
-// newborn-newborn pairs, all of a round's newborns must be indexed before
-// any is scored.
+// neighbor of one of c's names. The owners lists hold only the clusters
+// alive and un-merged at the start of the round, and the x.ord > c.ord
+// filter pushes each pair from its smaller-ord side exactly once — for
+// that to cover newborn-newborn pairs, all of a round's newborns must be
+// indexed before any is scored.
 //
 // A single-name c scores each neighbor name once. Against a single-name
 // partner that score is the cluster similarity, and the partner is

@@ -69,20 +69,13 @@ type Config struct {
 	// gathers the initial candidate pairs from it instead of
 	// enumerating, scoring and sorting them. Nil disables the fast path.
 	Seed *SeedPairs
-	// LegacyAgenda selects the seed implementation of the merge rounds
-	// (re-enumerate, re-score and fully sort all candidate pairs every
-	// round) instead of the agenda (see agenda.go). The two are
-	// byte-identical in output; the flag exists for differential tests
-	// and ablations.
-	LegacyAgenda bool
 	// Stats, when non-nil, receives the clustering work counters (runs,
 	// rounds, agenda pops, pairs admitted) for solve tracing. A pure
 	// side channel: results never depend on it, and counts accumulate
 	// locally per Match call and flush once, so the hot loops carry no
-	// atomics. Note the two agenda implementations do equivalent work
-	// but count it differently (the legacy path re-enumerates pairs
-	// every round), so counter values are comparable only within one
-	// implementation.
+	// atomics. The counts describe the agenda's work: the Algorithm 1
+	// transcription the tests hold Match to (algorithm1_test.go)
+	// re-enumerates every pair every round and counts nothing.
 	Stats *trace.Stats
 }
 
@@ -132,10 +125,10 @@ type workCluster struct {
 	keep  bool    // seeded by a GA constraint: never eliminated
 	grown bool    // created by a merge in some round
 
-	// Agenda state (agenda.go). ord is a stable rank reproducing the
-	// legacy slice-position order, and the cluster's slot in the run's
-	// arena, so a packed agenda entry decodes to its two clusters; the
-	// rest is round status.
+	// Agenda state (agenda.go). ord is a stable rank reproducing
+	// Algorithm 1's list-position order, and the cluster's slot in the
+	// run's arena, so a packed agenda entry decodes to its two clusters;
+	// the rest is round status.
 	ord      int32
 	mergedIn int          // round this cluster was merged away in (0 = alive)
 	cand     bool         // merge candidate this round (survives elimination)
@@ -161,16 +154,12 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 	}
 	sc.runs++
 	clusters, refs := seed(u, S, G, cfg, sc)
-	if cfg.LegacyAgenda {
-		clusters = run(clusters, cfg)
-	} else {
-		var seedQ []uint64
-		preGathered := seedCompatible(cfg.Seed, S, G, cfg)
-		if preGathered {
-			seedQ = gatherSeed(u, S, cfg.Seed, sc.queue[:0])
-		}
-		clusters = runAgenda(clusters, seedQ, preGathered, cfg, sc)
+	var seedQ []uint64
+	preGathered := seedCompatible(cfg.Seed, S, G, cfg)
+	if preGathered {
+		seedQ = gatherSeed(u, S, cfg.Seed, sc.queue[:0])
 	}
+	clusters = runAgenda(clusters, seedQ, preGathered, cfg, sc)
 	sc.flush(cfg.Stats)
 	return compose([]*Part{assemblePart(clusters, cfg)}, func(_ int, pos int32) model.AttrRef { return refs[pos] }, C)
 }
@@ -222,141 +211,6 @@ func addSorted[T int | int32](s []T, v T) []T {
 		return s
 	}
 	return slices.Insert(s, i, v)
-}
-
-// pair is a candidate merge, ordered by similarity (desc) with a
-// deterministic index tiebreak.
-type pair struct {
-	i, j int
-	sim  float64
-}
-
-// run executes the iterative merge rounds (Algorithm 1 lines 5–23).
-func run(clusters []*workCluster, cfg Config) []*workCluster {
-	var rounds, pops, admitted int64
-	for {
-		rounds++
-		done := true
-		merged := make([]bool, len(clusters))
-		cand := make([]bool, len(clusters))
-
-		// Find all cluster pairs with similarity ≥ θ, best first
-		// (line 8's priority queue, realized as a sorted slice).
-		pairs := collectPairs(clusters, cfg)
-		admitted += int64(len(pairs))
-		pops += int64(len(pairs))
-
-		var born []*workCluster
-		for _, p := range pairs {
-			mi, mj := merged[p.i], merged[p.j]
-			switch {
-			case !mi && !mj:
-				if a, b := clusters[p.i], clusters[p.j]; disjointSources(a, b) {
-					born = append(born, merge(a, b))
-					merged[p.i], merged[p.j] = true, true
-					done = false
-				}
-			case mi != mj:
-				// One partner was taken this round; remember the
-				// other so it survives into the next round
-				// (lines 15–19).
-				if mi {
-					cand[p.j] = true
-				} else {
-					cand[p.i] = true
-				}
-				done = false
-			}
-		}
-
-		// Eliminate clusters that can never merge again: singletons
-		// that are neither constraint-seeded nor merge candidates
-		// (lines 20–22). Grown clusters are valid GAs already and are
-		// always retained.
-		next := born
-		for i, c := range clusters {
-			if merged[i] {
-				continue // replaced by its union
-			}
-			if c.keep || c.grown || cand[i] {
-				next = append(next, c)
-			}
-		}
-		clusters = next
-		if done {
-			cfg.Stats.Add(trace.CClusterRounds, rounds)
-			cfg.Stats.Add(trace.CClusterPops, pops)
-			cfg.Stats.Add(trace.CClusterPairs, admitted)
-			return clusters
-		}
-	}
-}
-
-// collectPairs returns every pair of clusters with similarity ≥ θ, sorted
-// by similarity descending (deterministic tiebreak on indices).
-func collectPairs(clusters []*workCluster, cfg Config) []pair {
-	var pairs []pair
-	if cfg.Neighbors != nil {
-		pairs = collectPairsIndexed(clusters, cfg)
-	} else {
-		for i := 0; i < len(clusters); i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				s := clusterSim(clusters[i], clusters[j], cfg.Scores)
-				if s >= cfg.Theta {
-					pairs = append(pairs, pair{i, j, s})
-				}
-			}
-		}
-	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		//ube:float-exact sort comparators need a strict total order; an epsilon compare is not transitive
-		case a.sim != b.sim:
-			if a.sim > b.sim {
-				return -1
-			}
-			return 1
-		case a.i != b.i:
-			return a.i - b.i
-		default:
-			return a.j - b.j
-		}
-	})
-	return pairs
-}
-
-// collectPairsIndexed enumerates candidate pairs through the name
-// adjacency index: only cluster pairs sharing an above-threshold name link
-// are scored, which on realistic vocabularies is a tiny fraction of all
-// pairs.
-func collectPairsIndexed(clusters []*workCluster, cfg Config) []pair {
-	owners := make([][]int, len(cfg.Neighbors)) // name ID -> clusters carrying it
-	for ci, c := range clusters {
-		for _, n := range c.names {
-			owners[n] = append(owners[n], ci)
-		}
-	}
-	// mark[j] == i+1 marks cluster j as already paired with cluster i,
-	// deduplicating without a map. Only pairs with j > i are scored.
-	mark := make([]int, len(clusters))
-	var pairs []pair
-	for i, c := range clusters {
-		for _, na := range c.names {
-			for _, nb := range cfg.Neighbors[na] {
-				for _, j := range owners[nb] {
-					if j <= i || mark[j] == i+1 {
-						continue
-					}
-					mark[j] = i + 1
-					s := clusterSim(c, clusters[j], cfg.Scores)
-					if s >= cfg.Theta {
-						pairs = append(pairs, pair{i, j, s})
-					}
-				}
-			}
-		}
-	}
-	return pairs
 }
 
 // clusterSim is the §3 cluster similarity: the maximum similarity between
@@ -434,17 +288,6 @@ func appendMergedSorted[T int | int32](out, a, b []T) []T {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// merge returns the union cluster of a and b.
-func merge(a, b *workCluster) *workCluster {
-	return &workCluster{
-		attrs: appendMergedSorted(nil, a.attrs, b.attrs),
-		srcs:  appendMergedSorted(nil, a.srcs, b.srcs),
-		names: appendMergedSorted(nil, a.names, b.names),
-		keep:  a.keep || b.keep,
-		grown: true,
-	}
 }
 
 // quality is the §3 cluster quality: the maximum similarity between any

@@ -431,12 +431,7 @@ func (cs *Components) Match(idx []int) {
 
 // run runs Algorithm 1 on component k in cfg.Scratch.
 func (cs *Components) run(k int, cfg Config) *Part {
-	clusters := cs.seed(k, cfg.Scratch)
-	if cfg.LegacyAgenda {
-		clusters = run(clusters, cfg)
-	} else {
-		clusters = runAgenda(clusters, nil, false, cfg, cfg.Scratch)
-	}
+	clusters := runAgenda(cs.seed(k, cfg.Scratch), nil, false, cfg, cfg.Scratch)
 	return assemblePart(clusters, cfg)
 }
 

@@ -363,7 +363,8 @@ func TestChurnDenseMatrixGrowsByNewNames(t *testing.T) {
 // TestChurnComponentF1MatchesRebuild pins the component F1 path of a
 // churned engine to a rebuild. After every batch, the Result the churned
 // engine composes from θ-components — split over its grown or re-frozen
-// tables — must be deep-equal to whole-set Match on the legacy agenda,
+// tables — must be deep-equal to whole-set Match with no adjacency index
+// (the call the cluster tests pin to their Algorithm 1 transcription),
 // scored by a fresh engine's tables over the mutated universe, for random
 // candidate sets at two thresholds, on the dense and the θ-sparse path.
 func TestChurnComponentF1MatchesRebuild(t *testing.T) {
@@ -397,7 +398,7 @@ func TestChurnComponentF1MatchesRebuild(t *testing.T) {
 					scores, nbrs := e.scoresFor(theta, nil)
 					mt := e.newMatcher(cluster.Config{Theta: theta, Beta: 2, Sim: e.sim, Scores: scores, Neighbors: nbrs, NameIDs: e.nameIDs}, nil, nil)
 					freshScores, _ := fresh.scoresFor(theta, nil)
-					oracle := cluster.Config{Theta: theta, Beta: 2, Sim: fresh.sim, Scores: freshScores, LegacyAgenda: true}
+					oracle := cluster.Config{Theta: theta, Beta: 2, Sim: fresh.sim, Scores: freshScores}
 					for k := 0; k < 4; k++ {
 						S := model.NewSourceSet(e.u.N())
 						for S.Len() < min(8, e.u.N()) {

@@ -177,8 +177,7 @@ type Engine struct {
 	// concurrent evaluation worker.
 	scratch sync.Pool
 
-	legacyEval bool // WithLegacyEvaluation: seed-equivalent slow paths
-	noMemo     bool // WithoutMatchCache: no per-solve component memo
+	noMemo bool // WithoutMatchCache: no per-solve component memo
 	// memoLimit overrides componentMemoLimit when positive (tests).
 	memoLimit int
 
@@ -200,7 +199,6 @@ type Option func(*options)
 type options struct {
 	measure     strsim.Measure
 	noCache     bool
-	legacyEval  bool
 	faults      *faultinject.Injector
 	block       strsim.BlockConfig
 	forceSparse bool
@@ -217,15 +215,6 @@ func WithMeasure(m strsim.Measure) Option {
 // benchmarks and differential tests. Results are identical either way.
 func WithoutMatchCache() Option {
 	return func(o *options) { o.noCache = true }
-}
-
-// WithLegacyEvaluation pins the engine to the original evaluation
-// pipeline — whole-set Match on the sorted-slice clustering agenda,
-// per-call interning, no component memo, no scratch reuse and no
-// incremental objective — so benchmarks can quantify what the incremental
-// pipeline buys. Results are identical either way; only the time differs.
-func WithLegacyEvaluation() Option {
-	return func(o *options) { o.legacyEval = true }
 }
 
 // WithBlocking overrides the blocking-index configuration used to build
@@ -283,7 +272,6 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		nameIDs:          nameIDs,
 		neighborsByTheta: make(map[float64][][]int),
 		sparseByTheta:    make(map[float64]*strsim.SparseScores),
-		legacyEval:       o.legacyEval,
 		noMemo:           o.noCache,
 		faults:           o.faults,
 		block:            o.block,
@@ -461,16 +449,13 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 
 	scores, nbrs := e.scoresFor(p.Theta, tr.Stats())
 	clusterCfg := cluster.Config{
-		Theta:        p.Theta,
-		Beta:         p.Beta,
-		Sim:          e.sim,
-		Scores:       scores,
-		Neighbors:    nbrs,
-		LegacyAgenda: e.legacyEval,
-		Stats:        tr.Stats(),
-	}
-	if !e.legacyEval {
-		clusterCfg.NameIDs = e.nameIDs
+		Theta:     p.Theta,
+		Beta:      p.Beta,
+		Sim:       e.sim,
+		Scores:    scores,
+		Neighbors: nbrs,
+		NameIDs:   e.nameIDs,
+		Stats:     tr.Stats(),
 	}
 	mt := e.newMatcher(clusterCfg, p.Constraints.Sources, p.Constraints.GAs)
 
@@ -488,25 +473,23 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 	if opt == nil {
 		opt = search.NewTabu()
 	}
+	dobj, bound := e.deltaObjective(comp, wMatch, wRest, mt)
 	prob := &search.Problem{
-		N:         e.u.N(),
-		M:         p.MaxSources,
-		Required:  p.Constraints.ImpliedSources(),
-		Excluded:  p.Constraints.Exclude,
-		Initial:   p.InitialSources,
-		Objective: objective,
-		MaxEvals:  p.MaxEvals,
-		Workers:   p.Workers,
-		Ctx:       ctx,
-		Progress:  p.Progress,
-		Tracer:    p.Trace,
+		N:              e.u.N(),
+		M:              p.MaxSources,
+		Required:       p.Constraints.ImpliedSources(),
+		Excluded:       p.Constraints.Exclude,
+		Initial:        p.InitialSources,
+		Objective:      objective,
+		DeltaObjective: dobj,
+		MaxEvals:       p.MaxEvals,
+		Workers:        p.Workers,
+		Ctx:            ctx,
+		Progress:       p.Progress,
+		Tracer:         p.Trace,
 	}
-	if !e.legacyEval {
-		dobj, bound := e.deltaObjective(comp, wMatch, wRest, mt)
-		prob.DeltaObjective = dobj
-		if p.BoundPruning {
-			prob.Bound = bound
-		}
+	if p.BoundPruning {
+		prob.Bound = bound
 	}
 	if armedCtx, cancel := e.armSolveFaults(ctx, prob); cancel != nil {
 		defer cancel()
@@ -555,16 +538,13 @@ const weightEpsilon = 1e-12
 // otherwise a θ-sparse table built lazily from the blocking index. A
 // measure with no sound blocking scheme (or a θ outside the blockable
 // range) falls back to the lazy pairwise cache with no adjacency index
-// — the pre-blocking behavior. The legacy-evaluation pipeline always
-// takes the fallback on large vocabularies: it predates the sparse
-// path and is pinned to the original code paths.
+// — the pre-blocking behavior. Every choice clusters bit-identically to
+// the cluster package's Algorithm 1 transcription over the same scores
+// whenever the adjacency index has perfect recall.
 func (e *Engine) scoresFor(theta float64, st *trace.Stats) (strsim.Scorer, [][]int) {
 	e.refreshMatrix()
 	if e.matrix != nil {
 		return e.matrix, e.neighbors(theta)
-	}
-	if e.legacyEval {
-		return e.scores, nil
 	}
 	sp := e.sparse(theta, st)
 	if sp == nil {

@@ -34,7 +34,7 @@ type matcher struct {
 // newMatcher builds the F1 path for one solve's clustering parameters.
 func (e *Engine) newMatcher(cfg cluster.Config, C []int, G []model.GA) *matcher {
 	m := &matcher{e: e, cfg: cfg, C: C, G: G}
-	if !e.noMemo && !e.legacyEval {
+	if !e.noMemo {
 		m.memo = newComponentMemo(e.memoLimit)
 	}
 	return m
@@ -42,10 +42,6 @@ func (e *Engine) newMatcher(cfg cluster.Config, C []int, G []model.GA) *matcher 
 
 // f1 returns S's matching quality and whether S is valid on C.
 func (m *matcher) f1(S *model.SourceSet) (float64, bool) {
-	if m.e.legacyEval {
-		res := cluster.Match(m.e.u, S.Elements(), m.C, m.G, m.cfg)
-		return res.Quality, res.Valid
-	}
 	ws := m.e.scratch.Get().(*evalScratch)
 	q, valid := m.split(S, ws).F1(m.C)
 	m.e.scratch.Put(ws)
@@ -54,9 +50,6 @@ func (m *matcher) f1(S *model.SourceSet) (float64, bool) {
 
 // result returns Match's full Result on S through the same path as f1.
 func (m *matcher) result(S *model.SourceSet) cluster.Result {
-	if m.e.legacyEval {
-		return cluster.Match(m.e.u, S.Elements(), m.C, m.G, m.cfg)
-	}
 	ws := m.e.scratch.Get().(*evalScratch)
 	res := m.split(S, ws).Result(m.C)
 	m.e.scratch.Put(ws)
