@@ -21,23 +21,16 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
-	"time"
 
-	"ube/internal/engine"
 	"ube/internal/faultinject"
-	"ube/internal/model"
 	"ube/internal/schemaio"
-	"ube/internal/server"
 )
 
 // chaosMetricsDoc is the subset of /metrics the reconciliation invariant
@@ -73,8 +66,8 @@ func (w *syncWriter) String() string {
 	return w.buf.String()
 }
 
-func runChaosMode(u *model.Universe, planPath string, users, iters, evals, workers, queue int, seed int64, solveTimeout time.Duration) error {
-	raw, err := os.ReadFile(planPath)
+func runChaos(o *options, stdout io.Writer) error {
+	raw, err := os.ReadFile(o.chaos)
 	if err != nil {
 		return err
 	}
@@ -82,59 +75,83 @@ func runChaosMode(u *model.Universe, planPath string, users, iters, evals, worke
 	if err != nil {
 		return err
 	}
-	replay := fmt.Sprintf("replay: seed=%d plan=%s\n%s", plan.Seed, planPath, raw)
-
-	prob := engine.DefaultProblem()
-	if prob.MaxSources > u.N() {
-		prob.MaxSources = u.N()
-	}
-	prob.MaxEvals = evals
-	probDoc, err := schemaio.EncodeProblem(&prob)
+	replay := fmt.Sprintf("replay: seed=%d plan=%s\n%s", plan.Seed, o.chaos, raw)
+	f, err := catalogFleet(o)
 	if err != nil {
 		return err
 	}
 
 	// Fault-free reference: every user runs the identical script against
 	// an identical session, so one sequential user defines ground truth.
-	log.Printf("chaos: reference run (%d iterations, fault-free)", iters)
-	ref, _, _, err := chaosServerRun(u, probDoc, 1, iters, workers, queue, solveTimeout, seed, nil)
+	log.Printf("chaos: reference run (%d iterations, fault-free)", o.iters)
+	ref, err := reference(o, f)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
-	if len(ref) != 1 || ref[0].abandoned || len(ref[0].iterations) != iters {
-		return fmt.Errorf("reference run did not complete its script")
-	}
-	refCanon := make([]string, 0, iters)
-	for k := 0; k < iters; k++ {
-		refCanon = append(refCanon, canonicalChaosHistory(ref[0].iterations[:k+1]))
+	prefixes := make([]string, len(ref))
+	for k := range ref {
+		prefixes[k] = hash(canonical(ref[:k+1], canonOperational))
 	}
 
 	// Chaos run: same script, N concurrent users, plan armed.
 	inj := faultinject.MustNew(plan)
-	log.Printf("chaos: fault run (%d users × %d iterations, plan %s, seed %d)", users, iters, planPath, plan.Seed)
-	results, metrics, audit, err := chaosServerRun(u, probDoc, users, iters, workers, queue, solveTimeout, seed, inj)
+	log.Printf("chaos: fault run (%d users × %d iterations, plan %s, seed %d)", o.users, o.iters, o.chaos, plan.Seed)
+	audit := &syncWriter{}
+	srv, base, stop, err := startServer(o, inj, audit)
 	if err != nil {
+		return err
+	}
+	defer stop()
+	users, _ := f.run(base, o.users, canonOperational, editScript(o.iters))
+	for i, u := range users {
+		if u.err != nil {
+			return fmt.Errorf("chaos run: user %d: %w", i, u.err)
+		}
+	}
+	if err := drain(srv); err != nil {
+		return fmt.Errorf("chaos run: shutdown: %w", err)
+	}
+	var metrics chaosMetricsDoc
+	if err := getJSON(f.cl, base+"/metrics", &metrics); err != nil {
 		return fmt.Errorf("chaos run: %w", err)
 	}
 
+	violations := chaosViolations(prefixes, users, &metrics, audit.String())
+	completed := 0
+	for _, u := range users {
+		completed += u.steps
+	}
+	log.Printf("chaos: %d faults fired, %d/%d iterations survived, admitted %d (done %d, cancelled %d, panics %d, timeouts %d, rejected %d)",
+		len(inj.Firings()), completed, o.users*o.iters, metrics.SolvesAdmitted,
+		metrics.Solves, metrics.SolvesCancelled, metrics.SolvePanics, metrics.SolveTimeouts, metrics.QueueRejections)
+	if len(violations) > 0 {
+		return fmt.Errorf("chaos invariants violated:\n  - %s\n%s", strings.Join(violations, "\n  - "), replay)
+	}
+	fmt.Fprintf(stdout, "chaos: OK — all invariants hold under plan %s (seed %d)\n", o.chaos, plan.Seed)
+	return nil
+}
+
+// chaosViolations checks the three invariants. prefixes[k] is the
+// digest of the reference history's first k+1 iterations; users carry
+// digests canonicalised alike.
+func chaosViolations(prefixes []string, users []*user, metrics *chaosMetricsDoc, audit string) []string {
 	var violations []string
 	fail := func(format string, args ...any) {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
 
 	// Invariants 1 and 2: clean, bit-identical prefixes.
-	completed := 0
-	for i, r := range results {
-		n := len(r.iterations)
-		completed += n
+	iters := len(prefixes)
+	for i, u := range users {
+		n := u.steps
 		if n > iters {
 			fail("user %d: history has %d iterations, script only has %d", i, n, iters)
 			continue
 		}
-		if n > 0 && canonicalChaosHistory(r.iterations) != refCanon[n-1] {
+		if n > 0 && u.digest != prefixes[n-1] {
 			fail("user %d: surviving history (%d iterations) diverges from the fault-free reference", i, n)
 		}
-		if !r.abandoned && n != iters {
+		if !u.abandoned && n != iters {
 			fail("user %d: completed only %d/%d iterations without abandoning", i, n, iters)
 		}
 	}
@@ -171,86 +188,5 @@ func runChaosMode(u *model.Universe, planPath string, users, iters, evals, worke
 	if deficit := (metrics.SolvesAdmitted - enqueued) + (metrics.SolvesAdmitted - terminalLines); deficit > metrics.AuditDropped {
 		fail("audit log is missing %d solve lines but only %d drops were counted", deficit, metrics.AuditDropped)
 	}
-
-	firings := inj.Firings()
-	log.Printf("chaos: %d faults fired, %d/%d iterations survived, admitted %d (done %d, cancelled %d, panics %d, timeouts %d, rejected %d)",
-		len(firings), completed, users*iters, metrics.SolvesAdmitted,
-		metrics.Solves, metrics.SolvesCancelled, metrics.SolvePanics, metrics.SolveTimeouts, metrics.QueueRejections)
-	if len(violations) > 0 {
-		return fmt.Errorf("chaos invariants violated:\n  - %s\n%s", strings.Join(violations, "\n  - "), replay)
-	}
-	fmt.Printf("chaos: OK — all invariants hold under plan %s (seed %d)\n", planPath, plan.Seed)
-	return nil
-}
-
-// chaosServerRun starts an in-process server (armed with inj when
-// non-nil), drives the scripted users, drains, and returns the per-user
-// results plus the drained metrics and audit log.
-func chaosServerRun(u *model.Universe, prob *schemaio.ProblemDoc, users, iters, workers, queue int, solveTimeout time.Duration, seed int64, inj *faultinject.Injector) ([]userResult, *chaosMetricsDoc, string, error) {
-	audit := &syncWriter{}
-	srv := server.New(server.Config{
-		Workers:           workers,
-		QueueDepth:        queue,
-		MaxSessions:       users + 8,
-		SolveTimeout:      solveTimeout,
-		RetryAfterSeconds: 1,
-		AuditWriter:       audit,
-		FaultInjector:     inj,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, "", err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	client := &http.Client{Timeout: 5 * time.Minute}
-	results := make([]userResult, users)
-	var wg sync.WaitGroup
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = runUser(client, base, u, prob, iters, rand.New(rand.NewSource(seed+int64(i))))
-		}(i)
-	}
-	wg.Wait()
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return nil, nil, "", fmt.Errorf("shutdown: %w", err)
-	}
-	var metrics chaosMetricsDoc
-	if err := getJSON(client, base+"/metrics", &metrics); err != nil {
-		return nil, nil, "", err
-	}
-	_ = httpSrv.Shutdown(ctx)
-
-	for i := range results {
-		if results[i].err != nil {
-			return nil, nil, "", fmt.Errorf("user %d: %w", i, results[i].err)
-		}
-	}
-	return results, &metrics, audit.String(), nil
-}
-
-// canonicalChaosHistory renders a history with operational metadata
-// removed: wall-clock timing and match-cache traffic (retried solves
-// warm the session's cache, so cache counters legitimately differ from
-// the fault-free reference).
-func canonicalChaosHistory(iters []schemaio.IterationDoc) string {
-	c := append([]schemaio.IterationDoc(nil), iters...)
-	for i := range c {
-		c[i].Solution.ElapsedNS = 0
-		c[i].Solution.CacheHits = 0
-		c[i].Solution.CacheMisses = 0
-		c[i].Solution.CacheEvictions = 0
-	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Sprintf("unmarshalable history: %v", err)
-	}
-	return string(data)
+	return violations
 }

@@ -12,32 +12,22 @@ package main
 // worker pool interleaved the sessions. The run also requires the
 // server's churn counters to reconcile: every admitted batch
 // committed, none errored, conflicted, or was cancelled. Violations
-// exit non-zero; the verdict and latency split land in the -churn-o
-// JSON.
+// exit non-zero; the verdict and latency split land in the -o JSON.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
-	"math/rand"
-	"net"
 	"net/http"
-	"os"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
 
-	"ube/internal/engine"
 	"ube/internal/model"
 	"ube/internal/schemaio"
-	"ube/internal/server"
 	"ube/internal/synth"
 )
 
-// churnBenchDoc is the -churn-o output schema.
+// churnBenchDoc is the BENCH_churn_serve.json schema.
 type churnBenchDoc struct {
 	Users         int     `json:"users"`
 	Steps         int     `json:"steps"`
@@ -59,148 +49,6 @@ type churnBenchDoc struct {
 	ServerMetrics any     `json:"serverMetrics,omitempty"`
 }
 
-// churnUserResult is one user's run through the interleaved script.
-type churnUserResult struct {
-	solveMs    []float64
-	churnMs    []float64
-	rejections int
-	final      int    // universe size after the last batch
-	history    string // canonical history JSON, timing and cache stats stripped
-	acks       string // canonical churn-ack JSON (batch numbers + source counts)
-	err        error
-}
-
-// runChurnMode builds the seeded base catalog and mutation schedule,
-// serves in-process, and fans out the users.
-func runChurnMode(n, users, steps, evals, workers, queue int, seed int64, out string) error {
-	cfg := synth.QuickConfig(n)
-	base, batches, err := synth.ChurnSchedule(cfg, synth.ChurnConfig{
-		Seed:  cfg.Seed + 71,
-		Steps: steps,
-	})
-	if err != nil {
-		return fmt.Errorf("generating churn schedule: %w", err)
-	}
-
-	srv := server.New(server.Config{Workers: workers, QueueDepth: queue, MaxSessions: users + 8})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
-	log.Printf("in-process server on %s (workers=%d queue=%d churn steps=%d)", baseURL, workers, queue, steps)
-
-	prob := engine.DefaultProblem()
-	if prob.MaxSources > base.N() {
-		prob.MaxSources = base.N()
-	}
-	prob.MaxEvals = evals
-	probDoc, err := schemaio.EncodeProblem(&prob)
-	if err != nil {
-		return err
-	}
-
-	client := &http.Client{Timeout: 5 * time.Minute}
-	results := make([]churnUserResult, users)
-	var wg sync.WaitGroup
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	start := time.Now()
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = runChurnUser(client, baseURL, base, probDoc, batches, rand.New(rand.NewSource(seed+int64(i))))
-		}(i)
-	}
-	wg.Wait()
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	wall := time.Since(start)
-
-	bench := &churnBenchDoc{
-		Users:         users,
-		Steps:         len(batches),
-		SolvesPerUser: len(batches) + 1,
-		SourcesStart:  base.N(),
-		WallSeconds:   wall.Seconds(),
-		Deterministic: true,
-	}
-	var solveMs, churnMs []float64
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return fmt.Errorf("churn user %d: %w", i, r.err)
-		}
-		solveMs = append(solveMs, r.solveMs...)
-		churnMs = append(churnMs, r.churnMs...)
-		bench.Rejections429 += r.rejections
-		if r.history != results[0].history || r.acks != results[0].acks {
-			bench.Deterministic = false
-		}
-	}
-	bench.SourcesEnd = results[0].final
-	bench.TotalSolves = users * bench.SolvesPerUser
-	bench.TotalChurns = users * len(batches)
-	sort.Float64s(solveMs)
-	sort.Float64s(churnMs)
-	bench.SolveMsP50 = percentile(solveMs, 0.50)
-	bench.SolveMsP95 = percentile(solveMs, 0.95)
-	bench.ChurnMsP50 = percentile(churnMs, 0.50)
-	bench.ChurnMsP95 = percentile(churnMs, 0.95)
-	if len(solveMs) > 0 {
-		bench.SolveMsMax = solveMs[len(solveMs)-1]
-	}
-	if len(churnMs) > 0 {
-		bench.ChurnMsMax = churnMs[len(churnMs)-1]
-	}
-
-	var metrics struct {
-		ChurnsAdmitted  int64 `json:"churnsAdmitted"`
-		Churns          int64 `json:"churns"`
-		ChurnErrors     int64 `json:"churnErrors"`
-		ChurnConflicts  int64 `json:"churnConflicts"`
-		ChurnsCancelled int64 `json:"churnsCancelled"`
-	}
-	var raw any
-	if err := getJSON(client, baseURL+"/metrics", &raw); err != nil {
-		return fmt.Errorf("fetching metrics: %w", err)
-	}
-	data, _ := json.Marshal(raw)
-	if err := json.Unmarshal(data, &metrics); err != nil {
-		return fmt.Errorf("decoding churn metrics: %w", err)
-	}
-	bench.ServerMetrics = raw
-	bench.MetricsOK = metrics.Churns == int64(bench.TotalChurns) &&
-		metrics.ChurnsAdmitted == metrics.Churns &&
-		metrics.ChurnErrors == 0 && metrics.ChurnConflicts == 0 && metrics.ChurnsCancelled == 0
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	_ = httpSrv.Shutdown(ctx)
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("in-process shutdown: %w", err)
-	}
-
-	doc, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	if err := os.WriteFile(out, doc, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s", doc)
-	if !bench.Deterministic {
-		return fmt.Errorf("FAIL: churned histories diverged across users — determinism contract broken")
-	}
-	if !bench.MetricsOK {
-		return fmt.Errorf("FAIL: churn counters do not reconcile: admitted=%d committed=%d errors=%d conflicts=%d cancelled=%d want admitted==committed==%d and zero otherwise",
-			metrics.ChurnsAdmitted, metrics.Churns, metrics.ChurnErrors, metrics.ChurnConflicts, metrics.ChurnsCancelled, bench.TotalChurns)
-	}
-	return nil
-}
-
 // churnAck is the part of the PATCH acknowledgement shared verbatim by
 // every user: the batch number, the post-batch universe size and the
 // removed IDs. (The session field is per-user and excluded.)
@@ -210,157 +58,141 @@ type churnAck struct {
 	Removed []int `json:"removed"`
 }
 
-// runChurnUser plays one user's interleaved script: solve, apply batch
-// k, solve, ... The solve edits never pin sources — pins would 409
-// against scheduled removals — so the script exercises θ and weight
-// edits instead. Transient failures retry under the same jittered
-// backoff as the base loop; a churn conflict (409) is a hard error
-// because the script cannot legitimately produce one.
-func runChurnUser(client *http.Client, baseURL string, u *model.Universe, prob *schemaio.ProblemDoc, batches [][]model.Mutation, rng *rand.Rand) churnUserResult {
-	var r churnUserResult
+// churnMetrics is the subset of /metrics the churn counters reconcile.
+type churnMetrics struct {
+	ChurnsAdmitted  int64 `json:"churnsAdmitted"`
+	Churns          int64 `json:"churns"`
+	ChurnErrors     int64 `json:"churnErrors"`
+	ChurnConflicts  int64 `json:"churnConflicts"`
+	ChurnsCancelled int64 `json:"churnsCancelled"`
+}
 
-	var created struct {
-		ID string `json:"id"`
-	}
-	status, err := postJSON(client, baseURL+"/v1/sessions", map[string]any{"universe": u, "problem": prob}, &created)
+// reconciles reports whether exactly total batches were admitted and
+// committed, with none errored, conflicted or cancelled.
+func (m *churnMetrics) reconciles(total int) bool {
+	return m.Churns == int64(total) && m.ChurnsAdmitted == m.Churns &&
+		m.ChurnErrors == 0 && m.ChurnConflicts == 0 && m.ChurnsCancelled == 0
+}
+
+func runChurn(o *options, stdout io.Writer) error {
+	cfg := synth.QuickConfig(o.n)
+	base, batches, err := synth.ChurnSchedule(cfg, synth.ChurnConfig{Seed: cfg.Seed + 71, Steps: o.iters})
 	if err != nil {
-		r.err = err
-		return r
+		return fmt.Errorf("generating churn schedule: %w", err)
 	}
-	if status != http.StatusCreated {
-		r.err = fmt.Errorf("create session: HTTP %d", status)
-		return r
+	f, err := newFleet(o, base)
+	if err != nil {
+		return err
 	}
-	sessionURL := baseURL + "/v1/sessions/" + created.ID
+	srv, url, stop, err := startServer(o, nil, nil)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	log.Printf("in-process server on %s (workers=%d queue=%d churn steps=%d)", url, o.workers, o.queue, len(batches))
 
-	bo := newBackoff(rng)
+	acks := make([]string, o.users)
+	final := make([]int, o.users)
+	users, wall := f.run(url, o.users, canonOperational, func(i int, u *user) error {
+		a, err := churnScript(u, batches)
+		acks[i], final[i] = hash(a), base.N()
+		if len(a) > 0 {
+			final[i] = a[len(a)-1].Sources
+		}
+		return err
+	})
+	deterministic, err := checkChurn(users, acks, len(batches)+1)
+	if err != nil {
+		return fmt.Errorf("churn %w", err)
+	}
+	if err := drain(srv); err != nil {
+		return fmt.Errorf("in-process shutdown: %w", err)
+	}
+	var raw json.RawMessage
+	if err := getJSON(f.cl, url+"/metrics", &raw); err != nil {
+		return fmt.Errorf("fetching metrics: %w", err)
+	}
+	var metrics churnMetrics
+	if err := json.Unmarshal(raw, &metrics); err != nil {
+		return fmt.Errorf("decoding churn metrics: %w", err)
+	}
+
+	m := merged(users)
+	solve, churn := summarize(m.solveMs), summarize(m.patchMs)
+	doc := &churnBenchDoc{
+		Users:         o.users,
+		Steps:         len(batches),
+		SolvesPerUser: len(batches) + 1,
+		SourcesStart:  base.N(),
+		SourcesEnd:    final[0],
+		TotalSolves:   o.users * (len(batches) + 1),
+		TotalChurns:   o.users * len(batches),
+		WallSeconds:   wall.Seconds(),
+		SolveMsP50:    solve.p50,
+		SolveMsP95:    solve.p95,
+		SolveMsMax:    solve.max,
+		ChurnMsP50:    churn.p50,
+		ChurnMsP95:    churn.p95,
+		ChurnMsMax:    churn.max,
+		Rejections429: m.rejections,
+		Deterministic: deterministic,
+		ServerMetrics: raw,
+	}
+	doc.MetricsOK = metrics.reconciles(doc.TotalChurns)
+	if err := writeBench(stdout, o.out, doc); err != nil {
+		return err
+	}
+	if !deterministic {
+		return errors.New("FAIL: churned histories diverged across users — determinism contract broken")
+	}
+	if !doc.MetricsOK {
+		return fmt.Errorf("FAIL: churn counters do not reconcile: admitted=%d committed=%d errors=%d conflicts=%d cancelled=%d want admitted==committed==%d and zero otherwise",
+			metrics.ChurnsAdmitted, metrics.Churns, metrics.ChurnErrors, metrics.ChurnConflicts, metrics.ChurnsCancelled, doc.TotalChurns)
+	}
+	return nil
+}
+
+// checkChurn is checkFleet with the users' churn acknowledgements held
+// to agree as well as their histories.
+func checkChurn(users []*user, acks []string, steps int) (bool, error) {
+	for i, u := range users {
+		u.digest = hash([]string{u.digest, acks[i]})
+	}
+	return checkFleet(users, steps)
+}
+
+// churnScript plays one user's interleaved script: solve, apply batch
+// k, solve, ... and returns the batches' acknowledgements. The solve
+// edits never pin sources — pins would 409 against scheduled removals
+// — so the script exercises θ and weight edits instead. A churn
+// conflict (409) is a hard error because the script cannot
+// legitimately produce one.
+func churnScript(u *user, batches [][]model.Mutation) ([]churnAck, error) {
 	acks := make([]churnAck, 0, len(batches))
-	for k := 0; k <= len(batches); k++ {
+	for k := 0; ; k++ {
 		edit := map[string]any{}
 		switch {
 		case k == 0: // cold solve
 		case k%2 == 1: // tighten the matching threshold
-			edit = map[string]any{"theta": 0.75}
+			edit["theta"] = 0.75
 		default: // bias cardinality, rescaling the rest
-			edit = map[string]any{"setWeights": map[string]float64{"card": 0.5}}
+			edit["setWeights"] = map[string]float64{"card": 0.5}
 		}
-		if ms, rej, err := churnRetryLoop(client, bo, rng, func() (int, time.Duration, error) {
-			return postJSONRetry(client, sessionURL+"/solve", edit, nil)
-		}); err != nil {
-			r.err = fmt.Errorf("solve %d: %w", k, err)
-			return r
-		} else {
-			r.solveMs = append(r.solveMs, ms)
-			r.rejections += rej
+		if err := u.solve(edit); err != nil {
+			return acks, fmt.Errorf("solve %d: %w", k, err)
 		}
 		if k == len(batches) {
-			break
+			return acks, nil
 		}
-
 		var ack churnAck
-		if ms, rej, err := churnRetryLoop(client, bo, rng, func() (int, time.Duration, error) {
-			return patchJSONRetry(client, sessionURL+"/universe", schemaio.ChurnRequestDoc{Mutations: batches[k]}, &ack)
-		}); err != nil {
-			r.err = fmt.Errorf("churn batch %d: %w", k, err)
-			return r
-		} else {
-			r.churnMs = append(r.churnMs, ms)
-			r.rejections += rej
+		ms, err := u.call(http.MethodPatch, u.url+"/universe", schemaio.ChurnRequestDoc{Mutations: batches[k]}, &ack)
+		if err != nil {
+			return acks, fmt.Errorf("churn batch %d: %w", k, err)
 		}
+		u.patchMs = append(u.patchMs, ms)
 		if ack.Batch != k+1 {
-			r.err = fmt.Errorf("churn batch %d acknowledged as batch %d", k, ack.Batch)
-			return r
+			return acks, fmt.Errorf("churn batch %d acknowledged as batch %d", k, ack.Batch)
 		}
 		acks = append(acks, ack)
-		r.final = ack.Sources
 	}
-	if len(batches) == 0 {
-		r.final = u.N()
-	}
-
-	var hist struct {
-		Iterations []schemaio.IterationDoc `json:"iterations"`
-	}
-	if err := getJSON(client, sessionURL+"/history", &hist); err != nil {
-		r.err = err
-		return r
-	}
-	for i := range hist.Iterations {
-		s := &hist.Iterations[i].Solution
-		s.ElapsedNS = 0
-		s.CacheHits, s.CacheMisses, s.CacheEvictions = 0, 0, 0
-	}
-	canon, err := json.Marshal(hist.Iterations)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	r.history = string(canon)
-	ackJSON, err := json.Marshal(acks)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	r.acks = string(ackJSON)
-	return r
-}
-
-// churnRetryLoop runs one request until success, retrying transient
-// statuses under backoff. It returns the successful attempt's latency
-// in milliseconds and the number of 429 rejections absorbed.
-func churnRetryLoop(client *http.Client, bo *backoff, rng *rand.Rand, do func() (int, time.Duration, error)) (float64, int, error) {
-	rejections := 0
-	for attempt := 1; ; attempt++ {
-		//ube:nondeterministic-ok per-request latency measurement
-		t0 := time.Now()
-		status, retryAfter, err := do()
-		//ube:nondeterministic-ok per-request latency measurement
-		dt := time.Since(t0)
-		if err != nil {
-			return 0, rejections, err
-		}
-		if status == http.StatusOK {
-			bo.reset()
-			return float64(dt.Nanoseconds()) / 1e6, rejections, nil
-		}
-		if !transientStatus(status) {
-			return 0, rejections, fmt.Errorf("HTTP %d", status)
-		}
-		if status == http.StatusTooManyRequests {
-			rejections++
-		}
-		if attempt >= maxSolveAttempts {
-			return 0, rejections, fmt.Errorf("abandoned after %d attempts (last HTTP %d)", attempt, status)
-		}
-		time.Sleep(bo.next(retryAfter))
-	}
-}
-
-// patchJSONRetry is postJSONRetry for PATCH: it sends the body, decodes
-// a 200 into out, and surfaces the server's Retry-After guidance.
-func patchJSONRetry(client *http.Client, url string, body, out any) (int, time.Duration, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, 0, err
-	}
-	req, err := http.NewRequest(http.MethodPatch, url, bytes.NewReader(data))
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK && out != nil {
-		return resp.StatusCode, 0, json.NewDecoder(resp.Body).Decode(out)
-	}
-	var retryAfter time.Duration
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return resp.StatusCode, retryAfter, nil
 }

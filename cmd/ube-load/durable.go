@@ -1,96 +1,23 @@
-// Durable mode: a real kill -9 against a WAL-backed server child, then
-// recovery verification. The parent re-execs itself (-serve-child) so
-// the server lives in its own process and SIGKILL means what it means
-// in production — no deferred flushes, no atexit, no goroutine
-// shutdown. See the package comment for the invariants checked.
+// Durable mode (-kill-after N): a real kill -9 against a WAL-backed
+// server child, then recovery verification. The server lives in a
+// re-exec'd child (see spawnChild) so SIGKILL means what it means in
+// production — no deferred flushes, no atexit, no goroutine shutdown.
+// ube-load plays the script against the child and SIGKILLs it with the
+// (N+1)th solve in flight, then restarts it on the same WAL. Recovery
+// must hand back every acknowledged iteration byte for byte, and the
+// finished script must match an uninterrupted reference run. The
+// verdicts and recovery timing land in BENCH_durable.json.
 package main
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
+	"io"
 	"os"
-	"os/exec"
-	"strconv"
 	"strings"
 	"time"
 
-	"ube/internal/engine"
-	"ube/internal/model"
 	"ube/internal/schemaio"
-	"ube/internal/server"
 )
-
-// addrPrefix is the line the server child prints once it is listening
-// (recovery already done — Open replays before the listener binds).
-const addrPrefix = "ADDR "
-
-// runServeChild is the -serve-child entry: a durable session server on
-// an ephemeral port, announced on stdout, served until the parent kills
-// the process.
-func runServeChild(walDir string, workers, queue int) {
-	if walDir == "" {
-		log.Fatal("-serve-child needs -wal-dir")
-	}
-	srv, err := server.Open(server.Config{Workers: workers, QueueDepth: queue, WALDir: walDir})
-	if err != nil {
-		log.Fatalf("serve-child: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("serve-child: %v", err)
-	}
-	fmt.Printf("%shttp://%s\n", addrPrefix, ln.Addr())
-	if err := (&http.Server{Handler: srv.Handler()}).Serve(ln); err != nil {
-		log.Fatalf("serve-child: %v", err)
-	}
-}
-
-// child is one spawned server-child process.
-type child struct {
-	cmd  *exec.Cmd
-	base string // announced base URL
-}
-
-// spawnChild starts the server child on walDir and waits for its
-// listening announcement.
-func spawnChild(walDir string, workers, queue int) (*child, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe, "-serve-child",
-		"-wal-dir", walDir,
-		"-workers", strconv.Itoa(workers),
-		"-queue", strconv.Itoa(queue))
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, addrPrefix) {
-			return &child{cmd: cmd, base: strings.TrimPrefix(line, addrPrefix)}, nil
-		}
-	}
-	_ = cmd.Process.Kill()
-	_, _ = cmd.Process.Wait()
-	return nil, fmt.Errorf("server child exited before announcing its address")
-}
-
-// kill SIGKILLs the child and reaps it.
-func (c *child) kill() {
-	_ = c.cmd.Process.Kill()
-	_ = c.cmd.Wait()
-}
 
 // durableBenchDoc is the BENCH_durable.json schema: the crash-recovery
 // verdicts plus how long recovery took.
@@ -106,116 +33,58 @@ type durableBenchDoc struct {
 	WALRecovery     any     `json:"walRecovery,omitempty"`
 }
 
-// historyDocsOf fetches and parses a session's /history into raw
-// per-iteration documents for byte comparison.
-func historyDocsOf(client *http.Client, sessionURL string) ([]json.RawMessage, error) {
-	var hist struct {
-		Iterations []json.RawMessage `json:"iterations"`
-	}
-	if err := getJSON(client, sessionURL+"/history", &hist); err != nil {
-		return nil, err
-	}
-	return hist.Iterations, nil
-}
-
-// scriptSolve runs iteration k of the shared script against sessionURL
-// and returns the solution's sources for the next edit.
-func scriptSolve(client *http.Client, sessionURL string, k int, lastSources []int) ([]int, error) {
-	var solved struct {
-		Solution *schemaio.SolutionDoc `json:"solution"`
-	}
-	status, err := postJSON(client, sessionURL+"/solve", scriptEdit(k, lastSources), &solved)
+// runDurable plays the crash-recovery scenario end to end and writes
+// BENCH_durable.json. Any violated invariant is an error. o is a copy:
+// its -wal-dir is filled in for the children.
+func runDurable(o options, stdout io.Writer) error {
+	f, err := catalogFleet(&o)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("solve %d: HTTP %d", k, status)
-	}
-	if solved.Solution == nil {
-		return nil, fmt.Errorf("solve %d: no solution in response", k)
-	}
-	return solved.Solution.Sources, nil
-}
 
-// stripElapsed zeroes the wall-clock telemetry in a history so runs on
-// different machines (or before/after a crash) compare on content.
-func stripElapsed(iters []schemaio.IterationDoc) {
-	for i := range iters {
-		iters[i].Solution.ElapsedNS = 0
+	// Uninterrupted reference: the same script against an in-process
+	// server without a WAL. The engine is deterministic, so the
+	// crashed-and-recovered run must land on this exact history (timing
+	// aside).
+	noWAL := o
+	noWAL.walDir = ""
+	ref, err := reference(&noWAL, f)
+	if err != nil {
+		return fmt.Errorf("reference run: %w", err)
 	}
-}
-
-// runDurableMode plays the crash-recovery scenario end to end and
-// writes BENCH_durable.json. Any violated invariant is an error.
-func runDurableMode(u *model.Universe, killAfter, iters, evals, workers, queue int, walDir, out string) error {
-	if killAfter >= iters {
-		return fmt.Errorf("-kill-after %d must be below -iters %d, or nothing is left to resume", killAfter, iters)
-	}
-	if walDir == "" {
+	if o.walDir == "" {
 		dir, err := os.MkdirTemp("", "ube-load-wal-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		walDir = dir
-	}
-
-	prob := engine.DefaultProblem()
-	if prob.MaxSources > u.N() {
-		prob.MaxSources = u.N()
-	}
-	prob.MaxEvals = evals
-	probDoc, err := schemaio.EncodeProblem(&prob)
-	if err != nil {
-		return err
-	}
-	client := &http.Client{Timeout: 5 * time.Minute}
-
-	// Uninterrupted reference: the same script against an in-process
-	// server. The engine is deterministic, so the crashed-and-recovered
-	// run must land on this exact history (timing aside).
-	reference, err := referenceHistory(u, probDoc, iters, evals, workers, queue)
-	if err != nil {
-		return fmt.Errorf("reference run: %w", err)
+		o.walDir = dir
 	}
 
 	// Phase 1: the doomed child. Script until killAfter acks, capture
 	// what was acknowledged, then SIGKILL — with the next solve already
 	// in flight, so the crash lands mid-write, not at a tidy boundary.
-	c1, err := spawnChild(walDir, workers, queue)
+	c1, err := spawnChild(&o)
 	if err != nil {
 		return err
 	}
 	defer c1.kill()
-	var created struct {
-		ID string `json:"id"`
+	u := f.newUser(o.seed)
+	if err := u.create(c1.base); err != nil {
+		return err
 	}
-	status, err := postJSON(client, c1.base+"/v1/sessions", map[string]any{"universe": u, "problem": probDoc}, &created)
+	if err := u.edits(0, o.killAfter); err != nil {
+		return err
+	}
+	acked, err := u.history()
 	if err != nil {
 		return err
 	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("create session: HTTP %d", status)
-	}
-	sessionPath := "/v1/sessions/" + created.ID
-	var lastSources []int
-	for k := 0; k < killAfter; k++ {
-		if lastSources, err = scriptSolve(client, c1.base+sessionPath, k, lastSources); err != nil {
-			return err
-		}
-	}
-	acked, err := historyDocsOf(client, c1.base+sessionPath)
-	if err != nil {
-		return err
-	}
-	if len(acked) != killAfter {
-		return fmt.Errorf("server acknowledged %d solves but serves %d iterations", killAfter, len(acked))
+	if len(acked) != o.killAfter {
+		return fmt.Errorf("server acknowledged %d solves but serves %d iterations", o.killAfter, len(acked))
 	}
 	inFlight := make(chan error, 1)
-	go func() {
-		_, err := scriptSolve(client, c1.base+sessionPath, killAfter, lastSources)
-		inFlight <- err
-	}()
+	go func() { inFlight <- u.edits(o.killAfter, o.killAfter+1) }()
 	c1.kill()
 	<-inFlight // connection error or a racing success; either is a valid crash
 
@@ -224,133 +93,68 @@ func runDurableMode(u *model.Universe, killAfter, iters, evals, workers, queue i
 	// committed — both are honest crash outcomes.
 	//ube:nondeterministic-ok recovery wall-clock measurement for the bench report
 	t0 := time.Now()
-	c2, err := spawnChild(walDir, workers, queue)
+	c2, err := spawnChild(&o)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
 	//ube:nondeterministic-ok recovery wall-clock measurement for the bench report
 	recoveryMs := float64(time.Since(t0).Nanoseconds()) / 1e6
 	defer c2.kill()
-	recovered, err := historyDocsOf(client, c2.base+sessionPath)
+	u.url = c2.base + strings.TrimPrefix(u.url, c1.base)
+	recovered, err := u.history()
 	if err != nil {
 		return fmt.Errorf("resume: recovered session: %w", err)
-	}
-	if len(recovered) < killAfter || len(recovered) > killAfter+1 {
-		return fmt.Errorf("recovered %d iterations; want %d acknowledged (+1 if the in-flight solve committed)", len(recovered), killAfter)
-	}
-	bitIdentical := true
-	for i := range acked {
-		if string(recovered[i]) != string(acked[i]) {
-			bitIdentical = false
-			return fmt.Errorf("recovered iteration %d is not bit-identical to the acknowledged one:\n got %s\nwant %s", i, recovered[i], acked[i])
-		}
 	}
 
 	// Phase 3: finish the script from wherever recovery landed and
 	// compare the full history against the uninterrupted reference.
-	lastSources = nil
+	u.last = nil
 	if len(recovered) > 0 {
-		var last schemaio.IterationDoc
-		if err := json.Unmarshal(recovered[len(recovered)-1], &last); err != nil {
-			return err
-		}
-		lastSources = last.Solution.Sources
+		u.last = recovered[len(recovered)-1].Solution.Sources
 	}
-	for k := len(recovered); k < iters; k++ {
-		if lastSources, err = scriptSolve(client, c2.base+sessionPath, k, lastSources); err != nil {
-			return fmt.Errorf("resume solve %d: %w", k, err)
-		}
+	if err := u.edits(len(recovered), o.iters); err != nil {
+		return fmt.Errorf("resume %w", err)
 	}
-	var final struct {
-		Iterations []schemaio.IterationDoc `json:"iterations"`
-	}
-	if err := getJSON(client, c2.base+sessionPath+"/history", &final); err != nil {
-		return err
-	}
-	stripElapsed(final.Iterations)
-	gotCanon, err := json.Marshal(final.Iterations)
+	final, err := u.history()
 	if err != nil {
 		return err
 	}
-	finalMatches := string(gotCanon) == reference
-	if !finalMatches {
-		return fmt.Errorf("post-recovery history diverged from the uninterrupted reference:\n got %s\nwant %s", gotCanon, reference)
+	if err := checkDurable(acked, recovered, final, ref); err != nil {
+		return err
 	}
 
 	var metrics struct {
 		WALRecovery any `json:"walRecovery"`
 	}
-	_ = getJSON(client, c2.base+"/metrics", &metrics)
-
-	bench := &durableBenchDoc{
-		Sources:         u.N(),
-		Iters:           iters,
-		KillAfter:       killAfter,
+	_ = getJSON(f.cl, c2.base+"/metrics", &metrics)
+	return writeBench(stdout, o.out, &durableBenchDoc{
+		Sources:         f.sources,
+		Iters:           o.iters,
+		KillAfter:       o.killAfter,
 		AckedAtKill:     len(acked),
 		RecoveredIters:  len(recovered),
 		RecoveryMs:      recoveryMs,
-		BitIdentical:    bitIdentical,
-		FinalMatchesRef: finalMatches,
+		BitIdentical:    true,
+		FinalMatchesRef: true,
 		WALRecovery:     metrics.WALRecovery,
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s", data)
-	return nil
+	})
 }
 
-// referenceHistory runs the script uninterrupted against an in-process
-// server and returns the canonical (timing-stripped) history JSON.
-func referenceHistory(u *model.Universe, probDoc *schemaio.ProblemDoc, iters, evals, workers, queue int) (string, error) {
-	srv := server.New(server.Config{Workers: workers, QueueDepth: queue})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+// checkDurable requires recovery to hand back every acknowledged
+// iteration byte for byte, plus at most the solve that was in flight
+// at the kill, and the finished script to equal the uninterrupted
+// reference, timing aside.
+func checkDurable(acked, recovered, final, ref []schemaio.IterationDoc) error {
+	if len(recovered) < len(acked) || len(recovered) > len(acked)+1 {
+		return fmt.Errorf("recovered %d iterations; want %d acknowledged (+1 if the in-flight solve committed)", len(recovered), len(acked))
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: 5 * time.Minute}
-
-	var created struct {
-		ID string `json:"id"`
-	}
-	status, err := postJSON(client, base+"/v1/sessions", map[string]any{"universe": u, "problem": probDoc}, &created)
-	if err != nil {
-		return "", err
-	}
-	if status != http.StatusCreated {
-		return "", fmt.Errorf("create session: HTTP %d", status)
-	}
-	sessionURL := base + "/v1/sessions/" + created.ID
-	var lastSources []int
-	for k := 0; k < iters; k++ {
-		if lastSources, err = scriptSolve(client, sessionURL, k, lastSources); err != nil {
-			return "", err
+	for i := range acked {
+		if got, want := hash(recovered[i]), hash(acked[i]); got != want {
+			return fmt.Errorf("recovered iteration %d is not bit-identical to the acknowledged one: digest %s, want %s", i, got, want)
 		}
 	}
-	var hist struct {
-		Iterations []schemaio.IterationDoc `json:"iterations"`
+	if got, want := hash(canonical(final, canonTiming)), hash(canonical(ref, canonTiming)); got != want {
+		return fmt.Errorf("post-recovery history diverged from the uninterrupted reference: digest %s, want %s", got, want)
 	}
-	if err := getJSON(client, sessionURL+"/history", &hist); err != nil {
-		return "", err
-	}
-	stripElapsed(hist.Iterations)
-	canon, err := json.Marshal(hist.Iterations)
-	if err != nil {
-		return "", err
-	}
-	return string(canon), nil
+	return nil
 }

@@ -12,509 +12,218 @@
 //
 //	ube-load -users 32 -iters 4 -addr http://localhost:8080
 //	ube-load -users 10            # no -addr: serves in-process
-//	ube-load -chaos plan.json     # chaos mode: replayable fault injection
-//	ube-load -churn -users 8      # churn mode: shared mutation schedule, PATCH /universe
-//	ube-load -kill-after 3 -resume # durable mode: SIGKILL mid-run, recover, verify
+//	ube-load -chaos plan.json     # chaos mode: replayable fault injection (chaos.go)
+//	ube-load -churn -users 8      # churn mode: shared mutation schedule, PATCH /universe (churn.go)
+//	ube-load -kill-after 3        # durable mode: SIGKILL mid-run, recover, verify (durable.go)
 //	ube-load -shards 4 -users 10000 -queue 4096 -solve-cache 64
-//	                              # sharded mode: shard children + router (see shard.go)
+//	                              # sharded mode: shard children + router (shard.go)
 //
-// In chaos mode (-chaos, in-process only) the server is armed with the
-// fault plan's injection schedule (see internal/faultinject), the same
-// scripted users run against it, and three invariants are checked
-// against a fault-free reference run: every surviving history is a
-// clean, bit-identical prefix of the reference, and the /metrics
-// counters reconcile with the audit log. Any violation exits non-zero
-// with the seed and plan needed to replay the run.
-//
-// In churn mode (-churn, in-process only) every user interleaves the
-// scripted solves with the same seeded universe-mutation schedule
-// (synth.ChurnSchedule) applied through PATCH /v1/sessions/{id}/universe:
-// -iters batches per user, one solve before and after each. All N
-// histories and churn acknowledgements must stay bit-identical and the
-// server's churn counters must reconcile (every admitted batch committed,
-// none errored, conflicted or cancelled); see churn.go.
-//
-// In durable mode (-kill-after N -resume) ube-load spawns ITSELF as a
-// child process running a WAL-backed server (server.Open with a
-// scratch -wal-dir), plays the scripted feedback loop against it, and
-// after the Nth acknowledged solve SIGKILLs the child mid-flight — the
-// real crash, not a simulation. -resume restarts the child on the same
-// WAL directory and requires recovery to hand back every acknowledged
-// iteration byte-for-byte, then finishes the script and requires the
-// final history to match an uninterrupted in-process reference run.
-// The verdicts and recovery timing land in BENCH_durable.json.
+// Every mode runs the same fleet (fleet.go): one server starter, one
+// re-exec child protocol (-child), one retry loop and one scripted user.
+// -binary carries solve and history responses as compact binary frames
+// in any mode; -o names the BENCH document, which defaults per mode.
+// Bad flags, or flags that select more than one mode, exit 2 with a
+// usage message.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
-	"ube/internal/engine"
-	"ube/internal/model"
-	"ube/internal/schemaio"
 	"ube/internal/server"
-	"ube/internal/synth"
 )
+
+// options are the parsed flags.
+type options struct {
+	addr                       string
+	users, iters, n, evals     int
+	workers, queue, solveCache int
+	out                        string
+	seed                       int64
+	chaos                      string
+	solveTimeout               time.Duration
+	churn, binary, child       bool
+	shards, killAfter          int
+	walDir                     string
+}
+
+// defaultOut is each mode's BENCH document; chaos mode writes none.
+var defaultOut = map[string]string{
+	"flat":    "BENCH_serve.json",
+	"churn":   "BENCH_churn_serve.json",
+	"shard":   "BENCH_shard.json",
+	"durable": "BENCH_durable.json",
+}
 
 func main() {
-	var (
-		addr    = flag.String("addr", "", "base URL of a running ube-serve (empty: serve in-process)")
-		users   = flag.Int("users", 32, "concurrent simulated users")
-		iters   = flag.Int("iters", 4, "solve iterations per user")
-		n       = flag.Int("n", 40, "sources in the synthetic catalog")
-		evals   = flag.Int("evals", 400, "solver evaluation budget per solve")
-		workers = flag.Int("workers", 4, "worker pool size (in-process server only)")
-		queue   = flag.Int("queue", 32, "admission queue depth (in-process server only)")
-		out     = flag.String("o", "BENCH_serve.json", "benchmark output path")
-		seed    = flag.Int64("seed", 1, "base seed for the per-user backoff-jitter RNGs")
-		chaos   = flag.String("chaos", "", "fault plan JSON path: run chaos mode (in-process only)")
-		timeout = flag.Duration("solve-timeout", 2*time.Second, "per-solve deadline in chaos mode")
-
-		churnMode = flag.Bool("churn", false, "churn mode: interleave solves with a shared seeded mutation schedule (-iters batches per user, in-process only)")
-		churnOut  = flag.String("churn-o", "BENCH_churn_serve.json", "churn-mode benchmark output path")
-
-		shards      = flag.Int("shards", 0, "sharded mode: spawn N ube-serve shard children behind an in-process router")
-		shardOut    = flag.String("shard-o", "BENCH_shard.json", "sharded-mode benchmark output path")
-		solveCache  = flag.Int("solve-cache", 0, "per-shard cross-session solve memo entries (0 disables; see server.Config.SolveCacheSize)")
-		binaryWire  = flag.Bool("binary", false, "sharded mode: carry solve and history responses as compact binary frames")
-		maxSessions = flag.Int("max-sessions", 256, "maximum live sessions (in-process and child servers)")
-
-		killAfter = flag.Int("kill-after", 0, "durable mode: SIGKILL the WAL-backed server child after N acknowledged solves")
-		resume    = flag.Bool("resume", false, "durable mode: restart the killed child on the same WAL and verify recovery")
-		walDir    = flag.String("wal-dir", "", "durable mode: WAL directory for the server child (empty: scratch dir)")
-		durOut    = flag.String("durable-o", "BENCH_durable.json", "durable-mode benchmark output path")
-
-		serveChild = flag.Bool("serve-child", false, "internal: run as the durable server child (spawned by durable mode)")
-		shardChild = flag.Bool("shard-child", false, "internal: run as one shard child (spawned by sharded mode)")
-	)
-	flag.Parse()
-
-	if *serveChild {
-		runServeChild(*walDir, *workers, *queue)
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	if *shardChild {
-		runShardChild(*workers, *queue, *solveCache, *maxSessions)
-		return
-	}
-
-	if *churnMode {
-		if *addr != "" {
-			log.Fatal("-churn runs against an in-process server; drop -addr")
-		}
-		if err := runChurnMode(*n, *users, *iters, *evals, *workers, *queue, *seed, *churnOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	u, _, err := synth.Generate(synth.QuickConfig(*n))
 	if err != nil {
-		log.Fatalf("generating catalog: %v", err)
+		os.Exit(2)
 	}
-
-	if *killAfter > 0 {
-		if *addr != "" {
-			log.Fatal("-kill-after spawns its own server child; drop -addr")
-		}
-		if !*resume {
-			log.Fatal("-kill-after without -resume would only prove the kill; add -resume to verify recovery")
-		}
-		if err := runDurableMode(u, *killAfter, *iters, *evals, *workers, *queue, *walDir, *durOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if o.child {
+		err = runChild(o)
+	} else {
+		err = run(o, os.Stdout)
 	}
-
-	if *shards > 0 {
-		if *addr != "" {
-			log.Fatal("-shards spawns its own shard children; drop -addr")
-		}
-		if err := runShardMode(u, *shards, *users, *iters, *evals, *workers, *queue, *solveCache, *seed, *binaryWire, *shardOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *chaos != "" {
-		if *addr != "" {
-			log.Fatal("-chaos runs against an in-process server; drop -addr")
-		}
-		if err := runChaosMode(u, *chaos, *users, *iters, *evals, *workers, *queue, *seed, *timeout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	base := *addr
-	var inproc *server.Server
-	var httpSrv *http.Server
-	if base == "" {
-		inproc = server.New(server.Config{Workers: *workers, QueueDepth: *queue, MaxSessions: *users + 8})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		httpSrv = &http.Server{Handler: inproc.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		base = "http://" + ln.Addr().String()
-		log.Printf("in-process server on %s (workers=%d queue=%d)", base, *workers, *queue)
-	}
-
-	bench, err := run(base, u, *users, *iters, *evals, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if inproc != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
-		if err := inproc.Shutdown(ctx); err != nil {
-			log.Fatalf("in-process shutdown: %v", err)
-		}
-	}
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s", data)
-	if !bench.Deterministic {
-		log.Fatal("FAIL: user histories diverged — determinism contract broken")
-	}
 }
 
-// benchDoc is the BENCH_serve.json schema.
-type benchDoc struct {
-	Users         int     `json:"users"`
-	ItersPerUser  int     `json:"itersPerUser"`
-	Sources       int     `json:"sources"`
-	TotalSolves   int     `json:"totalSolves"`
-	WallSeconds   float64 `json:"wallSeconds"`
-	SolvesPerSec  float64 `json:"solvesPerSec"`
-	LatencyMsP50  float64 `json:"latencyMsP50"`
-	LatencyMsP95  float64 `json:"latencyMsP95"`
-	LatencyMsP99  float64 `json:"latencyMsP99"`
-	LatencyMsMax  float64 `json:"latencyMsMax"`
-	Rejections429 int     `json:"rejections429"`
-	RetriesSlept  int     `json:"retriesSlept"`
-	Transient5xx  int     `json:"transient5xxRetries"`
-	Deterministic bool    `json:"deterministic"`
-	ServerMetrics any     `json:"serverMetrics,omitempty"`
-}
-
-// userResult is one simulated user's run.
-type userResult struct {
-	latenciesMs []float64
-	rejections  int // 429s absorbed by backoff
-	transients  int // 500/503/504s absorbed by backoff
-	abandoned   bool
-	iterations  []schemaio.IterationDoc
-	history     string // canonical history JSON, timing stripped
-	err         error
-}
-
-func run(base string, u *model.Universe, users, iters, evals int, seed int64) (*benchDoc, error) {
-	prob := engine.DefaultProblem()
-	if prob.MaxSources > u.N() {
-		prob.MaxSources = u.N()
-	}
-	prob.MaxEvals = evals
-	probDoc, err := schemaio.EncodeProblem(&prob)
-	if err != nil {
+// parseFlags parses and validates args, writing any complaint and the
+// usage message to errOut.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("ube-load", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&o.addr, "addr", "", "base URL of a running ube-serve (empty: serve in-process; flat mode only)")
+	fs.IntVar(&o.users, "users", 32, "concurrent simulated users")
+	fs.IntVar(&o.iters, "iters", 4, "solve iterations per user (churn mode: mutation batches per user)")
+	fs.IntVar(&o.n, "n", 40, "sources in the synthetic catalog")
+	fs.IntVar(&o.evals, "evals", 400, "solver evaluation budget per solve")
+	fs.IntVar(&o.workers, "workers", 4, "worker pool size of each spawned or in-process server")
+	fs.IntVar(&o.queue, "queue", 32, "admission queue depth of each spawned or in-process server")
+	fs.IntVar(&o.solveCache, "solve-cache", 0, "cross-session solve memo entries per server (0 disables; see server.Config.SolveCacheSize)")
+	fs.StringVar(&o.out, "o", "", "benchmark output path (default per mode: BENCH_serve.json, BENCH_churn_serve.json, BENCH_shard.json or BENCH_durable.json)")
+	fs.Int64Var(&o.seed, "seed", 1, "base seed for the per-user backoff-jitter RNGs")
+	fs.StringVar(&o.chaos, "chaos", "", "fault plan JSON path: run chaos mode (in-process only)")
+	fs.DurationVar(&o.solveTimeout, "solve-timeout", 2*time.Second, "per-solve deadline in chaos mode")
+	fs.BoolVar(&o.churn, "churn", false, "churn mode: interleave solves with a shared seeded mutation schedule (in-process only)")
+	fs.BoolVar(&o.binary, "binary", false, "carry solve and history responses as compact binary frames")
+	fs.IntVar(&o.shards, "shards", 0, "sharded mode: spawn N shard children behind an in-process router")
+	fs.IntVar(&o.killAfter, "kill-after", 0, "durable mode: SIGKILL the WAL-backed server child after N acknowledged solves, then verify recovery")
+	fs.StringVar(&o.walDir, "wal-dir", "", "durable mode: WAL directory for the server child (empty: scratch dir)")
+	fs.BoolVar(&o.child, "child", false, "internal: run as a spawned server child")
+	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	client := &http.Client{Timeout: 5 * time.Minute}
-	results := make([]userResult, users)
-	var wg sync.WaitGroup
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	start := time.Now()
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = runUser(client, base, u, probDoc, iters, rand.New(rand.NewSource(seed+int64(i))))
-		}(i)
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(errOut, "ube-load: %v\n", err)
+		fs.Usage()
+		return nil, err
 	}
-	wg.Wait()
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	wall := time.Since(start)
-
-	bench := &benchDoc{
-		Users:        users,
-		ItersPerUser: iters,
-		Sources:      u.N(),
-		WallSeconds:  wall.Seconds(),
+	if o.out == "" {
+		o.out = defaultOut[o.mode()]
 	}
-	var all []float64
-	deterministic := true
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return nil, fmt.Errorf("user %d: %w", i, r.err)
-		}
-		if r.abandoned {
-			return nil, fmt.Errorf("user %d: abandoned its script after %d attempts against a fault-free server", i, maxSolveAttempts)
-		}
-		all = append(all, r.latenciesMs...)
-		bench.Rejections429 += r.rejections
-		bench.Transient5xx += r.transients
-		if r.history != results[0].history {
-			deterministic = false
-		}
-	}
-	bench.Deterministic = deterministic
-	bench.TotalSolves = users * iters
-	if wall > 0 {
-		bench.SolvesPerSec = float64(bench.TotalSolves) / wall.Seconds()
-	}
-	sort.Float64s(all)
-	bench.LatencyMsP50 = percentile(all, 0.50)
-	bench.LatencyMsP95 = percentile(all, 0.95)
-	bench.LatencyMsP99 = percentile(all, 0.99)
-	if len(all) > 0 {
-		bench.LatencyMsMax = all[len(all)-1]
-	}
-	bench.RetriesSlept = bench.Rejections429
-
-	var metrics any
-	if err := getJSON(client, base+"/metrics", &metrics); err == nil {
-		bench.ServerMetrics = metrics
-	}
-	return bench, nil
+	return o, nil
 }
 
-// maxSolveAttempts bounds the retries one iteration absorbs before the
-// user abandons the rest of its script. Against a fault-free server the
-// budget is never exhausted; under chaos, exhaustion leaves a clean
-// history prefix.
-const maxSolveAttempts = 12
-
-// transientStatus reports whether a solve failure is worth retrying
-// with the identical request: queue rejection (429), recovered panic
-// (500), injected mid-solve cancel (503), or deadline expiry (504). The
-// server's full-undo contract makes the retry equivalent.
-func transientStatus(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// runUser plays one user's script: create a session, then iterate the
-// paper's feedback loop — solve, pin the best source, tighten θ, bias a
-// weight — with edits derived only from the previous response, so every
-// user's script (and therefore history) is identical. Transient
-// failures are retried under rng-jittered exponential backoff floored
-// at the server's Retry-After guidance.
-func runUser(client *http.Client, base string, u *model.Universe, prob *schemaio.ProblemDoc, iters int, rng *rand.Rand) userResult {
-	var r userResult
-
-	var created struct {
-		ID string `json:"id"`
-	}
-	status, err := postJSON(client, base+"/v1/sessions", map[string]any{"universe": u, "problem": prob}, &created)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	if status != http.StatusCreated {
-		r.err = fmt.Errorf("create session: HTTP %d", status)
-		return r
-	}
-	sessionURL := base + "/v1/sessions/" + created.ID
-
-	bo := newBackoff(rng)
-	var lastSources []int
-script:
-	for k := 0; k < iters; k++ {
-		edit := scriptEdit(k, lastSources)
-
-		var solved struct {
-			Solution *schemaio.SolutionDoc `json:"solution"`
-		}
-		for attempt := 1; ; attempt++ {
-			//ube:nondeterministic-ok per-request latency measurement
-			t0 := time.Now()
-			status, retryAfter, err := postJSONRetry(client, sessionURL+"/solve", edit, &solved)
-			//ube:nondeterministic-ok per-request latency measurement
-			dt := time.Since(t0)
-			if err != nil {
-				r.err = err
-				return r
-			}
-			if status == http.StatusOK {
-				r.latenciesMs = append(r.latenciesMs, float64(dt.Nanoseconds())/1e6)
-				break
-			}
-			if !transientStatus(status) {
-				r.err = fmt.Errorf("solve %d: HTTP %d", k, status)
-				return r
-			}
-			if status == http.StatusTooManyRequests {
-				r.rejections++
-			} else {
-				r.transients++
-			}
-			if attempt >= maxSolveAttempts {
-				r.abandoned = true
-				break script
-			}
-			time.Sleep(bo.next(retryAfter))
-		}
-		bo.reset()
-		if solved.Solution != nil {
-			lastSources = solved.Solution.Sources
+// validate rejects flag values that cannot describe a run.
+func (o *options) validate() error {
+	for _, c := range []struct {
+		name     string
+		val, min int
+	}{
+		{"users", o.users, 1}, {"iters", o.iters, 1}, {"n", o.n, 1}, {"evals", o.evals, 1},
+		{"shards", o.shards, 0}, {"kill-after", o.killAfter, 0},
+	} {
+		if c.val < c.min {
+			return fmt.Errorf("-%s %d: must be at least %d", c.name, c.val, c.min)
 		}
 	}
-
-	var hist struct {
-		Iterations []schemaio.IterationDoc `json:"iterations"`
+	modes := 0
+	for _, on := range []bool{o.chaos != "", o.churn, o.shards > 0, o.killAfter > 0} {
+		if on {
+			modes++
+		}
 	}
-	if err := getJSON(client, sessionURL+"/history", &hist); err != nil {
-		r.err = err
-		return r
-	}
-	r.iterations = hist.Iterations
-	for i := range hist.Iterations {
-		hist.Iterations[i].Solution.ElapsedNS = 0 // timing metadata is not part of the contract
-	}
-	canon, err := json.Marshal(hist.Iterations)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	r.history = string(canon)
-	return r
-}
-
-// scriptEdit is iteration k's problem edit in the shared user script —
-// solve, pin the best source, tighten θ, bias a weight — derived only
-// from the iteration index and the previous solution, so every run of
-// the script (load users, chaos survivors, durable-mode resumes) edits
-// identically.
-func scriptEdit(k int, lastSources []int) map[string]any {
-	edit := map[string]any{}
 	switch {
-	case k == 0: // cold solve, no edits
-	case k%3 == 1 && len(lastSources) > 0: // pin the first chosen source
-		edit["pinSources"] = []int{lastSources[0]}
-	case k%3 == 2: // tighten the matching threshold
-		edit["theta"] = 0.75
-	default: // bias cardinality, rescaling the rest
-		edit["setWeights"] = map[string]float64{"card": 0.5}
+	case modes > 1:
+		return errors.New("-chaos, -churn, -shards and -kill-after select different modes; give at most one")
+	case o.addr != "" && o.mode() != "flat":
+		return fmt.Errorf("-addr drives an external server, but %s mode serves its own; drop -addr", o.mode())
+	case o.walDir != "" && o.mode() != "durable" && !o.child:
+		return errors.New("-wal-dir is for durable mode; add -kill-after")
+	case o.killAfter >= o.iters:
+		return fmt.Errorf("-kill-after %d must be below -iters %d, or nothing is left to resume", o.killAfter, o.iters)
 	}
-	return edit
+	return nil
 }
 
-// backoff is capped exponential backoff with seeded jitter. The
-// server's Retry-After guidance floors every delay; consecutive
-// failures double from there up to the cap, plus jitter drawn from the
-// user's own RNG so a run with the same -seed sleeps the same schedule.
-type backoff struct {
-	rng *rand.Rand
-	cur time.Duration
+func (o *options) mode() string {
+	switch {
+	case o.chaos != "":
+		return "chaos"
+	case o.churn:
+		return "churn"
+	case o.shards > 0:
+		return "shard"
+	case o.killAfter > 0:
+		return "durable"
+	}
+	return "flat"
 }
 
-const (
-	backoffFloor = 100 * time.Millisecond
-	backoffCap   = 10 * time.Second
-)
-
-func newBackoff(rng *rand.Rand) *backoff { return &backoff{rng: rng} }
-
-// reset clears the doubling state after a success.
-func (b *backoff) reset() { b.cur = 0 }
-
-// next returns the delay before the following attempt; retryAfter is
-// the server's guidance (zero when the response carried none).
-func (b *backoff) next(retryAfter time.Duration) time.Duration {
-	base := retryAfter
-	if base <= 0 {
-		base = backoffFloor
+// run runs the selected mode, echoing its BENCH document or verdict to
+// stdout.
+func run(o *options, stdout io.Writer) error {
+	switch o.mode() {
+	case "chaos":
+		return runChaos(o, stdout)
+	case "churn":
+		return runChurn(o, stdout)
+	case "shard":
+		return runShard(o, stdout)
+	case "durable":
+		return runDurable(*o, stdout)
 	}
-	if b.cur < base {
-		b.cur = base
-	} else {
-		b.cur *= 2
-	}
-	if b.cur > backoffCap {
-		b.cur = backoffCap
-	}
-	jitter := time.Duration(b.rng.Int63n(int64(b.cur/4) + 1))
-	return b.cur + jitter
+	return runFlat(o, stdout)
 }
 
-func postJSON(client *http.Client, url string, body, out any) (int, error) {
-	status, _, err := postJSONRetry(client, url, body, out)
-	return status, err
+// serveDoc is the BENCH_serve.json schema.
+type serveDoc struct {
+	fleetDoc
+	RetriesSlept  int `json:"retriesSlept"`
+	ServerMetrics any `json:"serverMetrics,omitempty"`
 }
 
-// postJSONRetry posts and surfaces the server's Retry-After guidance
-// (zero when the response carried none) so callers can back off exactly
-// as asked.
-func postJSONRetry(client *http.Client, url string, body, out any) (int, time.Duration, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, 0, err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
-		if out != nil {
-			return resp.StatusCode, 0, json.NewDecoder(resp.Body).Decode(out)
-		}
-	}
-	var retryAfter time.Duration
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return resp.StatusCode, retryAfter, nil
-}
-
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
+// runFlat is the benchmark mode: the user fleet against -addr, or
+// against an in-process server when -addr is empty.
+func runFlat(o *options, stdout io.Writer) error {
+	f, err := catalogFleet(o)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
+	base := o.addr
+	var srv *server.Server
+	if base == "" {
+		var stop func()
+		if srv, base, stop, err = startServer(o, nil, nil); err != nil {
+			return err
+		}
+		defer stop()
+		log.Printf("in-process server on %s (workers=%d queue=%d)", base, o.workers, o.queue)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
-// percentile returns the q-quantile of sorted (nearest-rank on the
-// sorted slice).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+	users, wall := f.run(base, o.users, canonTiming, editScript(o.iters))
+	deterministic, err := checkFleet(users, o.iters)
+	if err != nil {
+		return err
 	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	if srv != nil {
+		if err := drain(srv); err != nil {
+			return fmt.Errorf("in-process shutdown: %w", err)
+		}
+	}
+	m := merged(users)
+	doc := &serveDoc{fleetDoc: f.doc(&m, o.users, o.iters, wall, deterministic), RetriesSlept: m.slept}
+	var metrics any
+	if getJSON(f.cl, base+"/metrics", &metrics) == nil {
+		doc.ServerMetrics = metrics
+	}
+	if err := writeBench(stdout, o.out, doc); err != nil {
+		return err
+	}
+	if !deterministic {
+		return errors.New("FAIL: user histories diverged — determinism contract broken")
+	}
+	return nil
 }

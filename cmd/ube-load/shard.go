@@ -1,416 +1,87 @@
-// Sharded mode: N ube-serve shard children behind an in-process
-// ube-router, driven by the same scripted users as the flat benchmark.
-// The parent re-execs itself (-shard-child) per shard so each shard is
-// a real OS process with its own heap, GC and solve memo — the deployed
-// topology, not a simulation — then mounts internal/router over the
-// children's announced addresses and aims the whole user fleet at the
-// router.
+// Sharded mode: N shard children behind an in-process ube-router,
+// driven by the same scripted users as the flat benchmark. Each shard
+// is a re-exec'd child (see spawnChild), a real OS process with its own
+// heap, GC and solve memo — the deployed topology, not a simulation —
+// and the whole user fleet is aimed at the router mounted over the
+// children's announced addresses.
 //
 // Determinism across shards is the point of the exercise: every user
 // runs the identical script, so every per-user history must be
 // bit-identical (operational telemetry aside) no matter which shard the
 // ring placed the session on. The run fails, and BENCH_shard.json says
-// deterministic:false, if any pair of users diverges — histories are
-// compared by SHA-256 so 10k users cost 10k hashes, not 10k histories
-// held in memory.
+// deterministic:false, if any pair of users diverges.
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
-	"net"
-	"net/http"
-	"os"
-	"os/exec"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 
-	"ube/internal/engine"
-	"ube/internal/model"
 	"ube/internal/router"
-	"ube/internal/schemaio"
-	"ube/internal/server"
 )
-
-// runShardChild is the -shard-child entry: one in-memory shard server
-// on an ephemeral port, announced on stdout, served until the parent
-// kills the process.
-func runShardChild(workers, queue, solveCache, maxSessions int) {
-	srv := server.New(server.Config{
-		Workers:        workers,
-		QueueDepth:     queue,
-		MaxSessions:    maxSessions,
-		SolveCacheSize: solveCache,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("shard-child: %v", err)
-	}
-	fmt.Printf("%shttp://%s\n", addrPrefix, ln.Addr())
-	if err := (&http.Server{Handler: srv.Handler()}).Serve(ln); err != nil {
-		log.Fatalf("shard-child: %v", err)
-	}
-}
-
-// spawnShardChild starts one shard child and waits for its address.
-func spawnShardChild(workers, queue, solveCache, maxSessions int) (*child, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe, "-shard-child",
-		"-workers", strconv.Itoa(workers),
-		"-queue", strconv.Itoa(queue),
-		"-solve-cache", strconv.Itoa(solveCache),
-		"-max-sessions", strconv.Itoa(maxSessions))
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, addrPrefix) {
-			return &child{cmd: cmd, base: strings.TrimPrefix(line, addrPrefix)}, nil
-		}
-	}
-	_ = cmd.Process.Kill()
-	_, _ = cmd.Process.Wait()
-	return nil, fmt.Errorf("shard child exited before announcing its address")
-}
 
 // shardBenchDoc is the BENCH_shard.json schema.
 type shardBenchDoc struct {
-	Users         int     `json:"users"`
-	ItersPerUser  int     `json:"itersPerUser"`
-	Shards        int     `json:"shards"`
-	Sources       int     `json:"sources"`
-	SolveCache    int     `json:"solveCachePerShard"`
-	BinaryWire    bool    `json:"binaryWire"`
-	TotalSolves   int     `json:"totalSolves"`
-	WallSeconds   float64 `json:"wallSeconds"`
-	SolvesPerSec  float64 `json:"solvesPerSec"`
-	LatencyMsP50  float64 `json:"latencyMsP50"`
-	LatencyMsP95  float64 `json:"latencyMsP95"`
-	LatencyMsP99  float64 `json:"latencyMsP99"`
-	LatencyMsMax  float64 `json:"latencyMsMax"`
-	Rejections429 int     `json:"rejections429"`
-	Transient5xx  int     `json:"transient5xxRetries"`
-	Deterministic bool    `json:"deterministic"`
-	RouterMetrics any     `json:"routerMetrics,omitempty"`
+	fleetDoc
+	Shards        int  `json:"shards"`
+	SolveCache    int  `json:"solveCachePerShard"`
+	BinaryWire    bool `json:"binaryWire"`
+	RouterMetrics any  `json:"routerMetrics,omitempty"`
 }
 
-// shardUserResult is one user's run in sharded mode: latencies plus a
-// history digest instead of the history itself.
-type shardUserResult struct {
-	latenciesMs []float64
-	rejections  int
-	transients  int
-	histHash    string
-	err         error
-}
-
-// runShardMode spawns the shard fleet, fronts it with the router, runs
-// the user fleet, and writes BENCH_shard.json. The run fails on any
-// user error or on determinism divergence.
-func runShardMode(u *model.Universe, shards, users, iters, evals, workers, queue, solveCache int, seed int64, binary bool, out string) error {
-	prob := engine.DefaultProblem()
-	if prob.MaxSources > u.N() {
-		prob.MaxSources = u.N()
-	}
-	prob.MaxEvals = evals
-	probDoc, err := schemaio.EncodeProblem(&prob)
+func runShard(o *options, stdout io.Writer) error {
+	f, err := catalogFleet(o)
 	if err != nil {
 		return err
 	}
 
 	// Each shard must hold every session the ring could place on it;
-	// sizing all of them for the full fleet keeps placement skew safe.
-	children := make([]*child, 0, shards)
-	defer func() {
-		for _, c := range children {
-			c.kill()
-		}
-	}()
-	urls := make([]string, 0, shards)
-	for i := 0; i < shards; i++ {
-		c, err := spawnShardChild(workers, queue, solveCache, users+8)
+	// sizing all of them for the full fleet (MaxSessions = users + 8)
+	// keeps placement skew safe.
+	urls := make([]string, 0, o.shards)
+	for i := 0; i < o.shards; i++ {
+		c, err := spawnChild(o)
 		if err != nil {
 			return fmt.Errorf("spawning shard %d: %w", i, err)
 		}
-		children = append(children, c)
+		defer c.kill()
 		urls = append(urls, c.base)
 	}
-
 	rt, err := router.New(router.Config{Shards: urls})
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := serve(rt.Handler())
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
+	defer stop()
 	log.Printf("router on %s fronting %d shards (workers=%d queue=%d solve-cache=%d binary=%v)",
-		base, shards, workers, queue, solveCache, binary)
+		base, o.shards, o.workers, o.queue, o.solveCache, o.binary)
 
-	// One pooled client for the whole fleet: 10k users share a bounded
-	// connection pool instead of opening 10k sockets.
-	client := &http.Client{
-		Timeout: 5 * time.Minute,
-		Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-			MaxConnsPerHost:     256,
-		},
+	users, wall := f.run(base, o.users, canonOperational, editScript(o.iters))
+	deterministic, err := checkFleet(users, o.iters)
+	if err != nil {
+		return err
 	}
-
-	results := make([]shardUserResult, users)
-	var wg sync.WaitGroup
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	start := time.Now()
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = runShardUser(client, base, u, probDoc, iters, binary, rand.New(rand.NewSource(seed+int64(i))))
-		}(i)
-	}
-	wg.Wait()
-	//ube:nondeterministic-ok benchmark wall-clock measurement
-	wall := time.Since(start)
-
-	bench := &shardBenchDoc{
-		Users:        users,
-		ItersPerUser: iters,
-		Shards:       shards,
-		Sources:      u.N(),
-		SolveCache:   solveCache,
-		BinaryWire:   binary,
-		TotalSolves:  users * iters,
-		WallSeconds:  wall.Seconds(),
-	}
-	var all []float64
-	deterministic := true
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return fmt.Errorf("user %d: %w", i, r.err)
-		}
-		all = append(all, r.latenciesMs...)
-		bench.Rejections429 += r.rejections
-		bench.Transient5xx += r.transients
-		if r.histHash != results[0].histHash {
-			deterministic = false
-		}
-	}
-	bench.Deterministic = deterministic
-	if wall > 0 {
-		bench.SolvesPerSec = float64(bench.TotalSolves) / wall.Seconds()
-	}
-	sort.Float64s(all)
-	bench.LatencyMsP50 = percentile(all, 0.50)
-	bench.LatencyMsP95 = percentile(all, 0.95)
-	bench.LatencyMsP99 = percentile(all, 0.99)
-	if len(all) > 0 {
-		bench.LatencyMsMax = all[len(all)-1]
+	m := merged(users)
+	doc := &shardBenchDoc{
+		fleetDoc:   f.doc(&m, o.users, o.iters, wall, deterministic),
+		Shards:     o.shards,
+		SolveCache: o.solveCache,
+		BinaryWire: o.binary,
 	}
 	var metrics any
-	if err := getJSON(client, base+"/metrics", &metrics); err == nil {
-		bench.RouterMetrics = metrics
+	if getJSON(f.cl, base+"/metrics", &metrics) == nil {
+		doc.RouterMetrics = metrics
 	}
-
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
+	if err := writeBench(stdout, o.out, doc); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s", data)
 	if !deterministic {
-		return fmt.Errorf("FAIL: user histories diverged across shards — determinism contract broken")
+		return errors.New("FAIL: user histories diverged across shards — determinism contract broken")
 	}
 	return nil
-}
-
-// runShardUser plays the shared script through the router. With binary
-// set, solve responses travel as compact binary frames (content
-// negotiation via Accept) and the JSON path is used only for the
-// create; either wire must produce the same history.
-func runShardUser(client *http.Client, base string, u *model.Universe, prob *schemaio.ProblemDoc, iters int, binary bool, rng *rand.Rand) shardUserResult {
-	var r shardUserResult
-
-	var created struct {
-		ID string `json:"id"`
-	}
-	status, err := postJSON(client, base+"/v1/sessions", map[string]any{"universe": u, "problem": prob}, &created)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	if status != http.StatusCreated {
-		r.err = fmt.Errorf("create session: HTTP %d", status)
-		return r
-	}
-	sessionURL := base + "/v1/sessions/" + created.ID
-
-	bo := newBackoff(rng)
-	var lastSources []int
-	for k := 0; k < iters; k++ {
-		edit := scriptEdit(k, lastSources)
-		for attempt := 1; ; attempt++ {
-			//ube:nondeterministic-ok per-request latency measurement
-			t0 := time.Now()
-			sources, status, retryAfter, err := shardSolve(client, sessionURL, edit, binary)
-			//ube:nondeterministic-ok per-request latency measurement
-			dt := time.Since(t0)
-			if err != nil {
-				r.err = err
-				return r
-			}
-			if status == http.StatusOK {
-				r.latenciesMs = append(r.latenciesMs, float64(dt.Nanoseconds())/1e6)
-				lastSources = sources
-				break
-			}
-			if !transientStatus(status) {
-				r.err = fmt.Errorf("solve %d: HTTP %d", k, status)
-				return r
-			}
-			if status == http.StatusTooManyRequests {
-				r.rejections++
-			} else {
-				r.transients++
-			}
-			if attempt >= maxSolveAttempts {
-				r.err = fmt.Errorf("solve %d: abandoned after %d attempts", k, maxSolveAttempts)
-				return r
-			}
-			time.Sleep(bo.next(retryAfter))
-		}
-		bo.reset()
-	}
-
-	r.histHash, r.err = historyDigest(client, sessionURL, binary, iters)
-	return r
-}
-
-// shardSolve posts one solve over the chosen wire and returns the
-// solution's sources for the next script edit.
-func shardSolve(client *http.Client, sessionURL string, edit map[string]any, binary bool) ([]int, int, time.Duration, error) {
-	if !binary {
-		var solved struct {
-			Solution *schemaio.SolutionDoc `json:"solution"`
-		}
-		status, retryAfter, err := postJSONRetry(client, sessionURL+"/solve", edit, &solved)
-		if err != nil || status != http.StatusOK || solved.Solution == nil {
-			return nil, status, retryAfter, err
-		}
-		return solved.Solution.Sources, status, retryAfter, nil
-	}
-
-	data, err := json.Marshal(edit)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	req, err := http.NewRequest(http.MethodPost, sessionURL+"/solve", bytes.NewReader(data))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", schemaio.BinaryContentType)
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var retryAfter time.Duration
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode, retryAfter, nil
-	}
-	sr, err := schemaio.DecodeBinarySolveResult(body)
-	if err != nil {
-		return nil, resp.StatusCode, retryAfter, fmt.Errorf("decoding binary solve result: %w", err)
-	}
-	return sr.Solution.Sources, resp.StatusCode, retryAfter, nil
-}
-
-// historyDigest fetches the session history over the chosen wire,
-// canonicalizes it (wall-clock and cache telemetry zeroed — a memo hit
-// legitimately reports zero cost) and returns its SHA-256.
-func historyDigest(client *http.Client, sessionURL string, binary bool, wantIters int) (string, error) {
-	var iters []schemaio.IterationDoc
-	if binary {
-		req, err := http.NewRequest(http.MethodGet, sessionURL+"/history", nil)
-		if err != nil {
-			return "", err
-		}
-		req.Header.Set("Accept", schemaio.BinaryContentType)
-		resp, err := client.Do(req)
-		if err != nil {
-			return "", err
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("history: HTTP %d", resp.StatusCode)
-		}
-		if iters, err = schemaio.DecodeBinaryHistory(body); err != nil {
-			return "", fmt.Errorf("decoding binary history: %w", err)
-		}
-	} else {
-		var hist struct {
-			Iterations []schemaio.IterationDoc `json:"iterations"`
-		}
-		if err := getJSON(client, sessionURL+"/history", &hist); err != nil {
-			return "", err
-		}
-		iters = hist.Iterations
-	}
-	if len(iters) != wantIters {
-		return "", fmt.Errorf("history has %d iterations, want %d", len(iters), wantIters)
-	}
-	for i := range iters {
-		iters[i].Solution.ElapsedNS = 0
-		iters[i].Solution.CacheHits = 0
-		iters[i].Solution.CacheMisses = 0
-		iters[i].Solution.CacheEvictions = 0
-	}
-	canon, err := json.Marshal(iters)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
 }
