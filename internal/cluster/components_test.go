@@ -328,7 +328,7 @@ func (m labelMeasure) Score(a, b string) float64 {
 // smallest case where they matter. Names a, b and c score 0.9 (a, b) and
 // 0.5 (a, c), (b, c) at θ = 0.4; slot A carries a in one source, slots B
 // and C carry b and c in another. When the index lists (a, b), A merges
-// with B; when it leaves (a, b) out, as MinHash can, A pairs only with C
+// with B; when it leaves (a, b) out, as a lossy index can, A pairs only with C
 // and merges with it, and B cannot join. The two components have equal
 // scores and must still get different keys, and reusing Parts by key
 // across them must reproduce whole-set Match over the same index on each
@@ -368,7 +368,7 @@ func TestShapeKeyAdjacency(t *testing.T) {
 // bit-equal Parts. The bytes draw up to eight names (family p) with a
 // table of scores from a small set, so that ties are common, and an
 // adjacency index that disagrees with the scores on about a fifth of the
-// name pairs: it misses pairs scoring ≥ θ, as the MinHash index can, and
+// name pairs: it misses pairs scoring ≥ θ, as a lossy index can, and
 // lists pairs under θ, as an index built at a lower θ does. The copy
 // renames every name through a random permutation (family q, interned
 // after p in another order, so name IDs compare differently) with the

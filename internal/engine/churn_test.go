@@ -13,7 +13,6 @@ import (
 	"ube/internal/cluster"
 	"ube/internal/model"
 	"ube/internal/pcsa"
-	"ube/internal/strsim"
 	"ube/internal/synth"
 )
 
@@ -154,7 +153,6 @@ func churnTestModes() []struct {
 		opts []Option
 	}{
 		{"sparse-prefix", []Option{WithSparseScores()}},
-		{"sparse-minhash", []Option{WithSparseScores(), WithBlocking(strsim.BlockConfig{Mode: strsim.BlockMinHash})}},
 	}
 }
 

@@ -67,14 +67,6 @@ type Problem struct {
 	// solver (≤1 = sequential). Solves are deterministic for a fixed
 	// (problem, seed, Workers).
 	Workers int
-	// BoundPruning lets delta-aware solvers skip the exact evaluation
-	// of candidates whose objective upper bound (w_match·1 plus the
-	// exactly-computed composite term) cannot beat the incumbent. The
-	// returned Solution is byte-identical with or without pruning —
-	// skipped candidates still cost one evaluation each — but the trace
-	// counters differ (bound.skips appears, and qef work moves between
-	// counters), so the flag is opt-in and defaults to off.
-	BoundPruning bool
 	// Progress, when non-nil, observes the solve: the solver calls it
 	// from its deterministic best-so-far fold each time the incumbent
 	// improves. It is a pure side channel (the server streams it over
@@ -153,8 +145,6 @@ type Engine struct {
 	// vocabularies; a stored nil means the measure does not support
 	// blocking and the θ falls back to the lazy cache.
 	sparseByTheta map[float64]*strsim.SparseScores
-	// block configures the blocking index behind sparseByTheta.
-	block strsim.BlockConfig
 	// Churn state (see churn.go), nil/false until the first ApplyChurn
 	// so never-churned engines keep the exact pre-churn paths and costs.
 	// churned switches sparse() from batch builds to the dynamic per-θ
@@ -200,7 +190,6 @@ type options struct {
 	measure     strsim.Measure
 	noCache     bool
 	faults      *faultinject.Injector
-	block       strsim.BlockConfig
 	forceSparse bool
 }
 
@@ -217,20 +206,11 @@ func WithoutMatchCache() Option {
 	return func(o *options) { o.noCache = true }
 }
 
-// WithBlocking overrides the blocking-index configuration used to build
-// the θ-sparse scorer on large vocabularies — e.g. to select the
-// MinHash-LSH mode instead of the default exact-recall prefix filter.
-// It has no effect on vocabularies small enough for the dense matrix.
-func WithBlocking(cfg strsim.BlockConfig) Option {
-	return func(o *options) { o.block = cfg }
-}
-
 // WithSparseScores forces the θ-sparse blocking path even when the
 // vocabulary would fit the dense matrix. Solves are bit-identical to the
-// dense path whenever the blocking index has perfect recall (always, in
-// the default prefix-filter mode); the option exists so differential
-// tests and the scale experiment can compare the two paths on one
-// universe.
+// dense path because the blocking index has perfect recall; the option
+// exists so differential tests and the scale experiment can compare the
+// two paths on one universe.
 func WithSparseScores() Option {
 	return func(o *options) { o.forceSparse = true }
 }
@@ -274,7 +254,6 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		sparseByTheta:    make(map[float64]*strsim.SparseScores),
 		noMemo:           o.noCache,
 		faults:           o.faults,
-		block:            o.block,
 	}
 	e.scratch.New = func() any { return &evalScratch{} }
 	if sim.Len() <= matrixLimit && !o.forceSparse {
@@ -485,11 +464,9 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 		MaxEvals:       p.MaxEvals,
 		Workers:        p.Workers,
 		Ctx:            ctx,
+		Bound:          bound,
 		Progress:       p.Progress,
 		Tracer:         p.Trace,
-	}
-	if p.BoundPruning {
-		prob.Bound = bound
 	}
 	if armedCtx, cancel := e.armSolveFaults(ctx, prob); cancel != nil {
 		defer cancel()
@@ -597,7 +574,7 @@ func (e *Engine) sparse(theta float64, st *trace.Stats) *strsim.SparseScores {
 	if e.churned {
 		return e.sparseFromDyn(theta, st)
 	}
-	sp, bs, err := e.sim.BuildSparse(theta, e.block)
+	sp, bs, err := e.sim.BuildSparse(theta, strsim.BlockConfig{})
 	if err != nil {
 		sp = nil
 	}
@@ -614,7 +591,7 @@ func (e *Engine) sparse(theta float64, st *trace.Stats) *strsim.SparseScores {
 func (e *Engine) sparseFromDyn(theta float64, st *trace.Stats) *strsim.SparseScores {
 	d, ok := e.dynByTheta[theta]
 	if !ok {
-		nd, err := strsim.NewDynSparse(e.sim, theta, e.block)
+		nd, err := strsim.NewDynSparse(e.sim, theta)
 		if err != nil {
 			nd = nil
 		} else {

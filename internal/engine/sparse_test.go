@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ube/internal/search"
 	"ube/internal/synth"
 	"ube/internal/trace"
 )
@@ -106,23 +107,33 @@ func TestSparseTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestBoundPruningBitSafe solves the same problem with and without the
-// objective upper bound and requires identical solutions while the
-// pruned run actually skips candidates — pruning is an accounting-only
-// shortcut, never a search change.
+// unbounded runs the wrapped optimizer with the problem's objective
+// upper bound cleared: the unpruned reference path.
+type unbounded struct{ search.Optimizer }
+
+func (u unbounded) Optimize(p *search.Problem, seed int64) search.Solution {
+	p.Bound = nil
+	return u.Optimizer.Optimize(p, seed)
+}
+
+// TestBoundPruningBitSafe solves the same problem as Solve sets it up,
+// with the objective upper bound, and through an optimizer that clears
+// the bound, and requires identical solutions while the pruned run
+// actually skips candidates — pruning is an accounting-only shortcut,
+// never a search change.
 func TestBoundPruningBitSafe(t *testing.T) {
 	cfg := synth.QuickConfig(40)
 	u, _, err := synth.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := func(pruned bool) (*Solution, int64) {
+	solve := func(opt search.Optimizer) (*Solution, int64) {
 		e, err := New(u)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := smallProblem()
-		p.BoundPruning = pruned
+		p.Optimizer = opt
 		tr := trace.New()
 		p.Trace = tr
 		sol, err := e.Solve(&p)
@@ -131,13 +142,13 @@ func TestBoundPruningBitSafe(t *testing.T) {
 		}
 		return sol, tr.Finish().Totals()[trace.CBoundSkips]
 	}
-	plain, plainSkips := solve(false)
-	pruned, skips := solve(true)
+	plain, plainSkips := solve(unbounded{search.NewTabu()})
+	pruned, skips := solve(nil)
 	if plainSkips != 0 {
-		t.Errorf("bound skips counted with pruning off: %d", plainSkips)
+		t.Errorf("bound skips counted with the bound cleared: %d", plainSkips)
 	}
 	if skips == 0 {
-		t.Error("bound pruning enabled but no candidate was ever skipped")
+		t.Error("the default solve never skipped a candidate")
 	}
 	if !reflect.DeepEqual(plain.Sources, pruned.Sources) {
 		t.Errorf("pruning changed the selection: %v vs %v", plain.Sources, pruned.Sources)

@@ -36,8 +36,12 @@ func (tr *objectiveTrace) record(key string, q float64) {
 func (tr *objectiveTrace) Name() string { return tr.opt.Name() }
 
 // Optimize implements search.Optimizer: it interposes on both objective
-// paths of the problem, then delegates to the wrapped optimizer.
+// paths of the problem, then delegates to the wrapped optimizer. The
+// objective upper bound is cleared so that every candidate reaches the
+// recorded objective: the trace pins each candidate's evaluation bits,
+// not only those bound pruning leaves to evaluate.
 func (tr *objectiveTrace) Optimize(p *search.Problem, seed int64) search.Solution {
+	p.Bound = nil
 	obj := p.Objective
 	p.Objective = func(S *model.SourceSet) (float64, bool) {
 		q, ok := obj(S)

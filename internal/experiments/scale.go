@@ -116,7 +116,6 @@ func Scale(o Options) (*ScaleResult, error) {
 		p.MaxSources = m
 		p.MaxEvals = o.evals()
 		p.Seed = int64(n)
-		p.BoundPruning = true
 		tr := trace.New()
 		tr.Label = fmt.Sprintf("scale u=%d", n)
 		p.Trace = tr

@@ -58,8 +58,9 @@ type Router struct {
 	metrics *routerMetrics
 	nextID  atomic.Int64
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // New builds a router over the configured shards and starts the health
@@ -106,9 +107,10 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the health prober. It does not touch the shards.
+// Close stops the health prober. It does not touch the shards and may
+// be called more than once.
 func (rt *Router) Close() {
-	close(rt.done)
+	rt.closeOnce.Do(func() { close(rt.done) })
 	rt.wg.Wait()
 }
 

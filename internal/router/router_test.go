@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"ube/internal/engine"
 	"ube/internal/model"
@@ -636,4 +637,13 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	if perShard != m.Router.Proxied {
 		t.Errorf("per-shard requests %d != proxied %d", perShard, m.Router.Proxied)
 	}
+}
+
+// TestCloseTwice: Close stops a running prober and may be called again,
+// as the test cleanup does after this explicit pair.
+func TestCloseTwice(t *testing.T) {
+	f := startShards(t, 1, server.Config{})
+	rt, _ := startRouter(t, f, Config{ProbeInterval: time.Millisecond})
+	rt.Close()
+	rt.Close()
 }

@@ -172,6 +172,8 @@ type Server struct {
 	janitorWG sync.WaitGroup
 	drainCh   chan struct{}
 	drainOnce sync.Once
+	stopOnce  sync.Once
+	stopErr   error
 }
 
 // New builds a server and starts its worker pool (and TTL janitor when
@@ -252,7 +254,9 @@ func (s *Server) BeginDrain() {
 
 // Shutdown drains, waits (bounded by ctx) for every admitted solve to
 // finish, then stops the worker pool. After a clean Shutdown no server
-// goroutine remains.
+// goroutine remains. Shutdown may be called again: a call whose ctx
+// expired before the solves finished can be retried, and a call after a
+// completed Shutdown returns its result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 	done := make(chan struct{})
@@ -265,20 +269,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	// Safe: draining since BeginDrain, and jobsWG.Wait proved every
-	// admitted job — hence every pending work-token send — completed.
-	close(s.work)
-	s.workersWG.Wait()
-	s.janitorWG.Wait()
-	// Workers are gone, so nothing appends anymore: flush and close the
-	// WAL, and seal the audit chain's final partial batch.
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			return err
+	s.stopOnce.Do(func() {
+		// Safe: draining since BeginDrain, and jobsWG.Wait proved every
+		// admitted job — hence every pending work-token send — completed.
+		close(s.work)
+		s.workersWG.Wait()
+		s.janitorWG.Wait()
+		// Workers are gone, so nothing appends anymore: flush and close
+		// the WAL, and seal the audit chain's final partial batch.
+		if s.wal != nil {
+			if s.stopErr = s.wal.Close(); s.stopErr != nil {
+				return
+			}
 		}
-	}
-	s.audit.seal()
-	return nil
+		s.audit.seal()
+	})
+	return s.stopErr
 }
 
 func (s *Server) routes() {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -487,6 +488,62 @@ func TestDrain(t *testing.T) {
 	res := <-inflight
 	if res.status != http.StatusOK {
 		t.Fatalf("in-flight solve during drain: %d %s", res.status, res.body)
+	}
+}
+
+// TestShutdownTwice: Shutdowns racing each other, and one after they
+// return, all get the same nil result instead of closing the worker
+// channel again.
+func TestShutdownTwice(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- srv.Shutdown(context.Background()) }()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent shutdown: %v", err)
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown after completion: %v", err)
+	}
+}
+
+// TestShutdownRetryAfterTimeout: a Shutdown whose ctx expires while a
+// solve is still running returns the ctx error and leaves the server
+// draining; a later Shutdown waits for the solve and completes.
+func TestShutdownRetryAfterTimeout(t *testing.T) {
+	u := testUniverse(t, 40)
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	doc := testProblemDoc()
+	doc.MaxEvals = 100000
+	id := createSession(t, ts.URL, u, doc)
+	inflight := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/v1/sessions/"+id+"/solve", solveRequest{})
+		inflight <- resp.StatusCode
+	}()
+	waitFor(t, 10*time.Second, func() bool { return srv.metrics.inFlight.Load() == 1 })
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Shutdown(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("shutdown with an expired ctx: %v; want context.Canceled", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("retried shutdown: %v", err)
+	}
+	if status := <-inflight; status != http.StatusOK {
+		t.Fatalf("in-flight solve across the retried shutdown: %d", status)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown after completion: %v", err)
 	}
 }
 

@@ -4,28 +4,20 @@ package strsim
 // makes similarity sub-quadratic on large vocabularies. Instead of
 // scoring all n² name pairs like BuildMatrix, a blocking index surfaces
 // only the pairs that can plausibly reach θ and verifies exactly those
-// with the real measure:
+// with the real measure.
 //
-//   - BlockPrefix (the default) is an exact-recall mode: a character
-//     n-gram inverted index with full postings, probed with prefix
-//     filtering (AllPairs/ppjoin-style). A pair with score ≥ θ must
-//     share at least m grams, and m common grams cannot all hide in a
-//     probe's last m−1 grams, so probing only the first s−m+1 grams of
-//     each name (in a canonical rarest-first gram order) finds every
-//     qualifying pair. Candidates then pass a size-window check before
-//     exact verification.
+// The index is exact: a character n-gram inverted index with full
+// postings, probed with prefix filtering (AllPairs/ppjoin-style). A pair
+// with score ≥ θ must share at least m grams, and m common grams cannot
+// all hide in a probe's last m−1 grams, so probing only the first s−m+1
+// grams of each name (in a canonical rarest-first gram order) finds
+// every qualifying pair. Candidates then pass a size-window check before
+// exact verification, so both recall and precision are 1.
 //
-//   - BlockMinHash trades a bounded recall loss (< 2‰ per pair at θ
-//     with the default 32×4 banding) for index probes that do not
-//     depend on posting-list lengths: each name gets a MinHash
-//     signature over its grams, and names colliding in any band become
-//     candidates. Candidates are exactly verified, so precision is
-//     still 1 — only recall is probabilistic.
-//
-// Both modes are deterministic: gram order, probe order and all hashes
-// are pure functions of the name set (and the fixed MinHash seed), so
-// the resulting candidate pairs — and everything built from them — are
-// byte-reproducible across runs, machines and -race.
+// The index is deterministic: gram order and probe order are pure
+// functions of the name set, so the resulting candidate pairs — and
+// everything built from them — are byte-reproducible across runs,
+// machines and -race.
 //
 // The prefix-filter thresholds are conservatively widened (by more than
 // one float32 ulp) because the sparse scorer's inclusion test rounds
@@ -41,57 +33,10 @@ import (
 	"sort"
 )
 
-// BlockMode selects how the blocking index generates candidate pairs.
-type BlockMode int
-
-const (
-	// BlockPrefix probes an n-gram inverted index with prefix and
-	// length filtering. Recall is exactly 1 for the n-gram measures.
-	BlockPrefix BlockMode = iota
-	// BlockMinHash buckets names by banded MinHash signatures. Recall
-	// is probabilistic (≈ 0.998 per pair at θ = 0.65 with the default
-	// banding) but probing cost is independent of gram frequency.
-	BlockMinHash
-)
-
-// Default MinHash banding: 32 bands of 4 rows. At θ = 0.65 a pair at
-// exactly the threshold collides in at least one band with probability
-// 1 − (1 − 0.65⁴)³² ≈ 0.998; pairs above θ are caught with higher
-// probability still.
-const (
-	DefaultBands = 32
-	DefaultRows  = 4
-)
-
-// defaultMinHashSeed seeds the MinHash permutations when the config
-// leaves Seed zero. It is a fixed constant — never wall-clock or global
-// randomness — so indexes are reproducible across processes.
-const defaultMinHashSeed = 0x9e3779b97f4a7c15
-
-// BlockConfig configures the blocking index.
-type BlockConfig struct {
-	// Mode selects the candidate-generation strategy.
-	Mode BlockMode
-	// Bands and Rows shape the MinHash banding (BlockMinHash only);
-	// zero values take the package defaults.
-	Bands, Rows int
-	// Seed perturbs the MinHash permutations; zero takes the fixed
-	// package default. Deterministic for any fixed value.
-	Seed uint64
-}
-
-func (c BlockConfig) withDefaults() BlockConfig {
-	if c.Bands <= 0 {
-		c.Bands = DefaultBands
-	}
-	if c.Rows <= 0 {
-		c.Rows = DefaultRows
-	}
-	if c.Seed == 0 {
-		c.Seed = defaultMinHashSeed
-	}
-	return c
-}
+// BlockConfig is the blocking index's configuration. It is empty — the
+// exact prefix-filter index has no settings — and remains only so that
+// existing BuildSparse callers keep compiling.
+type BlockConfig struct{}
 
 // BlockStats reports the deterministic work counts of one sparse build:
 // names probed against the index, candidate pairs surfaced before exact
@@ -108,13 +53,12 @@ type BlockStats struct {
 // measures (NGramJaccard, NGramDice) are supported.
 var ErrUnsupportedMeasure = errors.New("strsim: blocking index requires an n-gram measure")
 
-// gramIndex is the shared substrate of both blocking modes: per-name
-// gram-ID sets in a canonical global order, plus full (θ-independent)
-// postings per gram.
+// gramIndex is the substrate of the blocking index: per-name gram-ID
+// sets in a canonical global order, plus full (θ-independent) postings
+// per gram.
 type gramIndex struct {
-	sets  [][]int32 // per name: gram IDs ascending in canonical order
-	post  [][]int32 // per gram ID: name IDs ascending (full postings)
-	grams []string  // gram ID -> gram string, canonical order
+	sets [][]int32 // per name: gram IDs ascending in canonical order
+	post [][]int32 // per gram ID: name IDs ascending (full postings)
 }
 
 // gramVocab interns character n-grams into dense int32 IDs in
@@ -201,10 +145,8 @@ func buildGramIndex(names []string, gramN int) *gramIndex {
 		return gramStrs[ga] < gramStrs[gb]
 	})
 	rank := make([]int32, len(order))
-	grams := make([]string, len(order))
 	for r, g := range order {
 		rank[g] = int32(r)
-		grams[r] = gramStrs[g]
 	}
 	post := make([][]int32, len(order))
 	for i, lst := range sets {
@@ -217,7 +159,7 @@ func buildGramIndex(names []string, gramN int) *gramIndex {
 			post[g] = append(post[g], int32(i))
 		}
 	}
-	return &gramIndex{sets: sets, post: post, grams: grams}
+	return &gramIndex{sets: sets, post: post}
 }
 
 // thetaSlack widens θ before deriving integer prefix/window bounds. The
@@ -295,96 +237,6 @@ func (ix *gramIndex) prefixPairs(theta float64, dice bool, stats *BlockStats, em
 			}
 		}
 	}
-}
-
-// splitmix64 is the SplitMix64 finalizer: a fast, well-distributed
-// bijective mixer used for the MinHash permutations.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// fnv64a is FNV-1a over the gram bytes.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// minhashPairs returns the deduplicated candidate pairs of the banded
-// MinHash mode. Bucket membership is a pure function of (name set,
-// seed); pairs are collected into a set, so the result does not depend
-// on discovery order.
-func (ix *gramIndex) minhashPairs(cfg BlockConfig, stats *BlockStats) map[pairKey]struct{} {
-	k := cfg.Bands * cfg.Rows
-	gh := make([]uint64, len(ix.grams))
-	for g, s := range ix.grams {
-		gh[g] = fnv64a(s)
-	}
-	salts := make([]uint64, k)
-	x := cfg.Seed
-	for i := range salts {
-		x = splitmix64(x)
-		salts[i] = x
-	}
-	type bandEntry struct {
-		key uint64
-		id  int32
-	}
-	bands := make([][]bandEntry, cfg.Bands)
-	sig := make([]uint64, k)
-	for a, set := range ix.sets {
-		if len(set) == 0 {
-			continue
-		}
-		stats.Probes++
-		for i := range sig {
-			sig[i] = math.MaxUint64
-		}
-		for _, g := range set {
-			h := gh[g]
-			for i, salt := range salts {
-				if v := splitmix64(h ^ salt); v < sig[i] {
-					sig[i] = v
-				}
-			}
-		}
-		for b := 0; b < cfg.Bands; b++ {
-			key := uint64(0xcbf29ce484222325)
-			for r := 0; r < cfg.Rows; r++ {
-				key = (key ^ sig[b*cfg.Rows+r]) * 1099511628211
-			}
-			bands[b] = append(bands[b], bandEntry{key: key, id: int32(a)})
-		}
-	}
-	pairs := make(map[pairKey]struct{})
-	for _, entries := range bands {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].key != entries[j].key {
-				return entries[i].key < entries[j].key
-			}
-			return entries[i].id < entries[j].id
-		})
-		for lo := 0; lo < len(entries); {
-			hi := lo
-			for hi < len(entries) && entries[hi].key == entries[lo].key {
-				hi++
-			}
-			for i := lo; i < hi; i++ {
-				for j := i + 1; j < hi; j++ {
-					pairs[pairKey{int(entries[i].id), int(entries[j].id)}] = struct{}{}
-				}
-			}
-			lo = hi
-		}
-	}
-	stats.Candidates += int64(len(pairs))
-	return pairs
 }
 
 // interSize returns |a∩b| for two ascending int32 sets.

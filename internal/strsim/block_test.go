@@ -103,41 +103,6 @@ func TestPrefixBlockingExactRecall(t *testing.T) {
 	}
 }
 
-// TestMinHashBlockingRecall: the probabilistic LSH mode must reach ≥0.98
-// recall against the exact θ-pair set at the paper's θ, with perfect
-// precision (candidates are exactly verified).
-func TestMinHashBlockingRecall(t *testing.T) {
-	c := NewCache(nil)
-	for _, name := range blockVocab(1000, 11) {
-		c.Intern(name)
-	}
-	theta := 0.65
-	sp, _, err := c.BuildSparse(theta, BlockConfig{Mode: BlockMinHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exactPairs(c, theta)
-	got := sparsePairs(sp, theta)
-	for p := range got {
-		if !want[p] {
-			t.Errorf("false pair %v survived verification (score %v)", p, c.Score(p[0], p[1]))
-		}
-	}
-	hits := 0
-	for p := range want {
-		if got[p] {
-			hits++
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("degenerate vocabulary: no exact pairs to recall")
-	}
-	recall := float64(hits) / float64(len(want))
-	if recall < 0.98 {
-		t.Errorf("MinHash recall %.4f (%d/%d) below 0.98", recall, hits, len(want))
-	}
-}
-
 // TestSparseMatchesMatrix: on a vocabulary where both tables exist, every
 // Score the sparse table answers is bit-identical to the dense matrix —
 // above θ from its own entries, below θ through the float32-rounded
@@ -172,30 +137,27 @@ func TestSparseMatchesMatrix(t *testing.T) {
 }
 
 // TestSparseDeterminism: two independent builds produce identical stats
-// and identical tables, in both modes.
+// and identical tables.
 func TestSparseDeterminism(t *testing.T) {
-	for _, mode := range []BlockMode{BlockPrefix, BlockMinHash} {
-		c1 := NewCache(nil)
-		c2 := NewCache(nil)
-		for _, name := range blockVocab(400, 5) {
-			c1.Intern(name)
-			c2.Intern(name)
-		}
-		cfg := BlockConfig{Mode: mode}
-		sp1, st1, err := c1.BuildSparse(0.65, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp2, st2, err := c2.BuildSparse(0.65, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st1 != st2 {
-			t.Errorf("mode %d: stats differ across builds: %+v vs %+v", mode, st1, st2)
-		}
-		if sp1.NNZ() != sp2.NNZ() || !reflect.DeepEqual(sp1.Neighbors(0.65), sp2.Neighbors(0.65)) {
-			t.Errorf("mode %d: tables differ across builds", mode)
-		}
+	c1 := NewCache(nil)
+	c2 := NewCache(nil)
+	for _, name := range blockVocab(400, 5) {
+		c1.Intern(name)
+		c2.Intern(name)
+	}
+	sp1, st1, err := c1.BuildSparse(0.65, BlockConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp2, st2, err := c2.BuildSparse(0.65, BlockConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1 != st2 {
+		t.Errorf("stats differ across builds: %+v vs %+v", st1, st2)
+	}
+	if sp1.NNZ() != sp2.NNZ() || !reflect.DeepEqual(sp1.Neighbors(0.65), sp2.Neighbors(0.65)) {
+		t.Error("tables differ across builds")
 	}
 }
 
@@ -295,24 +257,14 @@ func TestBuildMatrixGuard(t *testing.T) {
 }
 
 func BenchmarkBlockingBuild(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  BlockConfig
-	}{
-		{"prefix", BlockConfig{}},
-		{"minhash", BlockConfig{Mode: BlockMinHash}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewCache(nil)
-			for _, name := range blockVocab(4096, 9) {
-				c.Intern(name)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := c.BuildSparse(0.65, mode.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := NewCache(nil)
+	for _, name := range blockVocab(4096, 9) {
+		c.Intern(name)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.BuildSparse(0.65, BlockConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package strsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -13,21 +12,13 @@ import (
 // freezes it into an ordinary SparseScores for each solve.
 //
 // The maintained pair set is, by construction, exactly the pair set
-// BuildSparse would produce over the same live names:
-//
-//   - In BlockPrefix mode the batch builder has exact recall (every pair
-//     whose float32-rounded score reaches θ survives verification), and
-//     an inserted name's candidates here are the union of the *full*
-//     postings of its grams — a superset of any prefix-filtered probe,
-//     since a positive Jaccard/Dice score requires at least one shared
-//     gram. Exact verification then admits precisely the same pairs.
-//
-//   - In BlockMinHash mode candidates are same-(band, key) bucket
-//     co-members, and both the per-name signature (a min-fold of salted
-//     gram-string hashes) and the band keys are pure functions of the
-//     name's gram strings and the seed — independent of insertion order
-//     and of gram/name numbering — so the collision set, and after exact
-//     verification the pair set, is identical to the batch build's.
+// BuildSparse would produce over the same live names. The batch builder
+// has exact recall (every pair whose float32-rounded score reaches θ
+// survives verification), and an inserted name's candidates here are
+// the union of the *full* postings of its grams — a superset of any
+// prefix-filtered probe, since a positive Jaccard/Dice score requires at
+// least one shared gram. Exact verification then admits precisely the
+// same pairs.
 //
 // Scores are computed with the same integer set-overlap expressions and
 // the same float32 rounding as BuildSparse, so frozen tables agree with
@@ -36,7 +27,6 @@ import (
 type DynSparse struct {
 	cache *Cache
 	theta float64
-	cfg   BlockConfig
 	dice  bool
 	coef  func(la, lb, inter int) float64
 
@@ -45,16 +35,11 @@ type DynSparse struct {
 	post  map[int32][]int32       // gram ID -> ascending live name IDs
 	rows  map[int32][]sparseEntry // live name ID -> θ-neighbors (self excluded), ascending
 	stats BlockStats
-
-	// MinHash mode only.
-	salts   []uint64
-	keys    map[int32][]uint64   // live name ID -> per-band bucket key
-	buckets []map[uint64][]int32 // band -> key -> ascending member IDs
 }
 
 // NewDynSparse returns an empty dynamic index over c at threshold theta.
 // Constraints mirror BuildSparse: θ in (0,1] and an n-gram measure.
-func NewDynSparse(c *Cache, theta float64, cfg BlockConfig) (*DynSparse, error) {
+func NewDynSparse(c *Cache, theta float64) (*DynSparse, error) {
 	if theta <= 0 || theta > 1 {
 		return nil, fmt.Errorf("strsim: NewDynSparse theta %v outside (0,1]", theta)
 	}
@@ -69,37 +54,16 @@ func NewDynSparse(c *Cache, theta float64, cfg BlockConfig) (*DynSparse, error) 
 	default:
 		return nil, fmt.Errorf("%w (have %s)", ErrUnsupportedMeasure, c.measure.Name())
 	}
-	cfg = cfg.withDefaults()
-	d := &DynSparse{
+	return &DynSparse{
 		cache: c,
 		theta: theta,
-		cfg:   cfg,
 		dice:  dice,
 		coef:  coef,
 		grams: newGramVocab(gramN),
 		sets:  make(map[int32][]int32),
 		post:  make(map[int32][]int32),
 		rows:  make(map[int32][]sparseEntry),
-	}
-	switch cfg.Mode {
-	case BlockPrefix:
-	case BlockMinHash:
-		k := cfg.Bands * cfg.Rows
-		d.salts = make([]uint64, k)
-		x := cfg.Seed
-		for i := range d.salts {
-			x = splitmix64(x)
-			d.salts[i] = x
-		}
-		d.keys = make(map[int32][]uint64)
-		d.buckets = make([]map[uint64][]int32, cfg.Bands)
-		for b := range d.buckets {
-			d.buckets[b] = make(map[uint64][]int32)
-		}
-	default:
-		return nil, fmt.Errorf("strsim: unknown blocking mode %d", cfg.Mode)
-	}
-	return d, nil
+	}, nil
 }
 
 // Theta reports the threshold the index maintains rows at.
@@ -131,51 +95,18 @@ func (d *DynSparse) Insert(id int) error {
 	}
 	set := d.grams.set(d.cache.NameOf(id))
 
-	// Candidate discovery. Both modes collect into a dedup set, then the
-	// candidates are sorted so verification order (and hence row memory
-	// behavior) is deterministic; membership itself is order-free.
+	// Candidate discovery: every live name sharing a gram, deduplicated
+	// and sorted so verification order (and hence row memory behavior)
+	// is deterministic; membership itself is order-free.
 	seen := make(map[int32]struct{})
 	var cands []int32
-	addCand := func(b int32) {
-		if _, ok := seen[b]; ok {
-			return
-		}
-		seen[b] = struct{}{}
-		cands = append(cands, b)
-	}
-	var bandKeys []uint64
 	if len(set) > 0 {
 		d.stats.Probes++
-		switch d.cfg.Mode {
-		case BlockPrefix:
-			for _, g := range set {
-				for _, b := range d.post[g] {
-					addCand(b)
-				}
-			}
-		case BlockMinHash:
-			k := len(d.salts)
-			sig := make([]uint64, k)
-			for i := range sig {
-				sig[i] = math.MaxUint64
-			}
-			for _, g := range set {
-				h := fnv64a(d.grams.grams[g])
-				for i, salt := range d.salts {
-					if v := splitmix64(h ^ salt); v < sig[i] {
-						sig[i] = v
-					}
-				}
-			}
-			bandKeys = make([]uint64, d.cfg.Bands)
-			for b := 0; b < d.cfg.Bands; b++ {
-				key := uint64(0xcbf29ce484222325)
-				for r := 0; r < d.cfg.Rows; r++ {
-					key = (key ^ sig[b*d.cfg.Rows+r]) * 1099511628211
-				}
-				bandKeys[b] = key
-				for _, m := range d.buckets[b][key] {
-					addCand(m)
+		for _, g := range set {
+			for _, b := range d.post[g] {
+				if _, ok := seen[b]; !ok {
+					seen[b] = struct{}{}
+					cands = append(cands, b)
 				}
 			}
 		}
@@ -201,23 +132,16 @@ func (d *DynSparse) Insert(id int) error {
 		}
 	}
 
-	// Publish the name into the index structures.
+	// Publish the name into the postings.
 	for _, g := range set {
 		d.post[g] = insertID(d.post[g], a)
-	}
-	if d.cfg.Mode == BlockMinHash && len(set) > 0 {
-		for b, key := range bandKeys {
-			d.buckets[b][key] = insertID(d.buckets[b][key], a)
-		}
-		d.keys[a] = bandKeys
 	}
 	d.sets[a] = set
 	return nil
 }
 
-// Delete removes one live name: its postings, bucket memberships and
-// row, plus its entry in every neighbor's row. Deleting a name that is
-// not live is an error.
+// Delete removes one live name: its postings and row, plus its entry
+// in every neighbor's row. Deleting a name that is not live is an error.
 func (d *DynSparse) Delete(id int) error {
 	a := int32(id)
 	set, ok := d.sets[a]
@@ -235,17 +159,6 @@ func (d *DynSparse) Delete(id int) error {
 		d.post[g] = removeID(d.post[g], a)
 		if len(d.post[g]) == 0 {
 			delete(d.post, g)
-		}
-	}
-	if d.cfg.Mode == BlockMinHash {
-		if keys, ok := d.keys[a]; ok {
-			for b, key := range keys {
-				d.buckets[b][key] = removeID(d.buckets[b][key], a)
-				if len(d.buckets[b][key]) == 0 {
-					delete(d.buckets[b], key)
-				}
-			}
-			delete(d.keys, a)
 		}
 	}
 	delete(d.sets, a)

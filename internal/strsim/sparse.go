@@ -31,13 +31,13 @@ type sparseEntry struct {
 }
 
 // BuildSparse builds the θ-thresholded sparse scorer over every name
-// interned so far, generating candidates with the configured blocking
-// mode and verifying each with the exact measure. Only the n-gram
+// interned so far, generating candidates with the exact prefix-filter
+// blocking index and verifying each with the exact measure. Only the n-gram
 // measures are supported (ErrUnsupportedMeasure otherwise); θ must lie
 // in (0, 1] — at θ ≤ 0 every pair qualifies and no blocking scheme can
 // beat the dense path. Like BuildMatrix, names interned after the build
 // are unknown to the row structure and make Score panic.
-func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, BlockStats, error) {
+func (c *Cache) BuildSparse(theta float64, _ BlockConfig) (*SparseScores, BlockStats, error) {
 	var stats BlockStats
 	if theta <= 0 || theta > 1 {
 		return nil, stats, fmt.Errorf("strsim: BuildSparse theta %v outside (0,1]", theta)
@@ -53,8 +53,6 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 	default:
 		return nil, stats, fmt.Errorf("%w (have %s)", ErrUnsupportedMeasure, c.measure.Name())
 	}
-	cfg = cfg.withDefaults()
-
 	c.mu.RLock()
 	names := append([]string(nil), c.names...)
 	c.mu.RUnlock()
@@ -80,17 +78,7 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 			stats.Pruned++
 		}
 	}
-	switch cfg.Mode {
-	case BlockPrefix:
-		ix.prefixPairs(theta, dice, &stats, verify)
-	case BlockMinHash:
-		//ube:nondeterministic-ok rows are sorted by neighbor ID below; stats are order-free counts
-		for p := range ix.minhashPairs(cfg, &stats) {
-			verify(int32(p.lo), int32(p.hi))
-		}
-	default:
-		return nil, stats, fmt.Errorf("strsim: unknown blocking mode %d", cfg.Mode)
-	}
+	ix.prefixPairs(theta, dice, &stats, verify)
 
 	s := &SparseScores{n: n, theta: theta, start: make([]int32, n+1), cache: c}
 	nnz := 0
@@ -103,8 +91,9 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 	s.cols = make([]int32, 0, nnz)
 	s.vals = make([]float32, 0, nnz)
 	for i, row := range rows {
-		// Candidate discovery order varies by mode; ascending-ID rows
-		// make the structure (and everything built on it) canonical.
+		// Candidates surface in gram-posting order and the self entry
+		// sits last; ascending-ID rows make the structure (and
+		// everything built on it) canonical.
 		sortEntries(row)
 		for _, e := range row {
 			s.cols = append(s.cols, e.id)
@@ -116,7 +105,7 @@ func (c *Cache) BuildSparse(theta float64, cfg BlockConfig) (*SparseScores, Bloc
 }
 
 // sortEntries orders a row by neighbor ID ascending. Rows never hold
-// duplicate IDs: both blocking modes emit each unordered pair once.
+// duplicate IDs: prefixPairs emits each unordered pair once.
 func sortEntries(row []sparseEntry) {
 	// Insertion sort: rows are typically a handful of entries, and the
 	// common case (already ascending from prefixPairs emission order)
