@@ -38,11 +38,10 @@ import (
 // reading its final /metrics, then stop.
 func startServer(o *options, inj *faultinject.Injector, audit io.Writer) (*server.Server, string, func(), error) {
 	cfg := server.Config{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		MaxSessions:    o.users + 8,
-		SolveCacheSize: o.solveCache,
-		WALDir:         o.walDir,
+		Workers:     o.workers,
+		QueueDepth:  o.queue,
+		MaxSessions: o.users + 8,
+		WALDir:      o.walDir,
 	}
 	if inj != nil {
 		cfg.AuditWriter = audit
@@ -115,7 +114,6 @@ func spawnChild(o *options) (*child, error) {
 		"-users", strconv.Itoa(o.users),
 		"-workers", strconv.Itoa(o.workers),
 		"-queue", strconv.Itoa(o.queue),
-		"-solve-cache", strconv.Itoa(o.solveCache),
 		"-wal-dir", o.walDir)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
@@ -510,9 +508,9 @@ const (
 	// canonTiming zeroes ElapsedNS: wall-clock telemetry is not part of
 	// the determinism contract.
 	canonTiming
-	// canonOperational also zeroes the match-cache counters: retried
-	// solves warm a session's cache and a memo hit reports zero cost, so
-	// cache traffic legitimately differs between runs.
+	// canonOperational also zeroes the match-cache counters: they are
+	// operational telemetry, so cache traffic legitimately differs
+	// between runs.
 	canonOperational
 )
 

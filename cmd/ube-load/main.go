@@ -15,7 +15,7 @@
 //	ube-load -chaos plan.json     # chaos mode: replayable fault injection (chaos.go)
 //	ube-load -churn -users 8      # churn mode: shared mutation schedule, PATCH /universe (churn.go)
 //	ube-load -kill-after 3        # durable mode: SIGKILL mid-run, recover, verify (durable.go)
-//	ube-load -shards 4 -users 10000 -queue 4096 -solve-cache 64
+//	ube-load -shards 4 -users 10000 -queue 4096
 //	                              # sharded mode: shard children + router (shard.go)
 //
 // Every mode runs the same fleet (fleet.go): one server starter, one
@@ -40,16 +40,16 @@ import (
 
 // options are the parsed flags.
 type options struct {
-	addr                       string
-	users, iters, n, evals     int
-	workers, queue, solveCache int
-	out                        string
-	seed                       int64
-	chaos                      string
-	solveTimeout               time.Duration
-	churn, binary, child       bool
-	shards, killAfter          int
-	walDir                     string
+	addr                   string
+	users, iters, n, evals int
+	workers, queue         int
+	out                    string
+	seed                   int64
+	chaos                  string
+	solveTimeout           time.Duration
+	churn, binary, child   bool
+	shards, killAfter      int
+	walDir                 string
 }
 
 // defaultOut is each mode's BENCH document; chaos mode writes none.
@@ -91,7 +91,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.IntVar(&o.evals, "evals", 400, "solver evaluation budget per solve")
 	fs.IntVar(&o.workers, "workers", 4, "worker pool size of each spawned or in-process server")
 	fs.IntVar(&o.queue, "queue", 32, "admission queue depth of each spawned or in-process server")
-	fs.IntVar(&o.solveCache, "solve-cache", 0, "cross-session solve memo entries per server (0 disables; see server.Config.SolveCacheSize)")
 	fs.StringVar(&o.out, "o", "", "benchmark output path (default per mode: BENCH_serve.json, BENCH_churn_serve.json, BENCH_shard.json or BENCH_durable.json)")
 	fs.Int64Var(&o.seed, "seed", 1, "base seed for the per-user backoff-jitter RNGs")
 	fs.StringVar(&o.chaos, "chaos", "", "fault plan JSON path: run chaos mode (in-process only)")

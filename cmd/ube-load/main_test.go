@@ -119,14 +119,14 @@ func TestShardMode(t *testing.T) {
 		t.Run(wire, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "shard.json")
 			args := []string{"-shards", "2", "-users", "100", "-iters", "3", "-n", "30",
-				"-queue", "512", "-solve-cache", "64", "-o", path}
+				"-queue", "512", "-o", path}
 			if wire == "binary" {
 				args = append(args, "-binary")
 			}
 			if _, err := runMode(t, args...); err != nil {
 				t.Fatal(err)
 			}
-			doc := readBench(t, path, append(fleetKeys, "shards", "solveCachePerShard", "binaryWire", "routerMetrics")...)
+			doc := readBench(t, path, append(fleetKeys, "shards", "binaryWire", "routerMetrics")...)
 			if doc["deterministic"] != true || doc["binaryWire"] != (wire == "binary") {
 				t.Errorf("deterministic=%v binaryWire=%v", doc["deterministic"], doc["binaryWire"])
 			}

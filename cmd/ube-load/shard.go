@@ -1,7 +1,7 @@
 // Sharded mode: N shard children behind an in-process ube-router,
 // driven by the same scripted users as the flat benchmark. Each shard
 // is a re-exec'd child (see spawnChild), a real OS process with its own
-// heap, GC and solve memo — the deployed topology, not a simulation —
+// heap and GC — the deployed topology, not a simulation —
 // and the whole user fleet is aimed at the router mounted over the
 // children's announced addresses.
 //
@@ -25,7 +25,6 @@ import (
 type shardBenchDoc struct {
 	fleetDoc
 	Shards        int  `json:"shards"`
-	SolveCache    int  `json:"solveCachePerShard"`
 	BinaryWire    bool `json:"binaryWire"`
 	RouterMetrics any  `json:"routerMetrics,omitempty"`
 }
@@ -58,8 +57,8 @@ func runShard(o *options, stdout io.Writer) error {
 		return err
 	}
 	defer stop()
-	log.Printf("router on %s fronting %d shards (workers=%d queue=%d solve-cache=%d binary=%v)",
-		base, o.shards, o.workers, o.queue, o.solveCache, o.binary)
+	log.Printf("router on %s fronting %d shards (workers=%d queue=%d binary=%v)",
+		base, o.shards, o.workers, o.queue, o.binary)
 
 	users, wall := f.run(base, o.users, canonOperational, editScript(o.iters))
 	deterministic, err := checkFleet(users, o.iters)
@@ -70,7 +69,6 @@ func runShard(o *options, stdout io.Writer) error {
 	doc := &shardBenchDoc{
 		fleetDoc:   f.doc(&m, o.users, o.iters, wall, deterministic),
 		Shards:     o.shards,
-		SolveCache: o.solveCache,
 		BinaryWire: o.binary,
 	}
 	var metrics any

@@ -89,10 +89,9 @@ func (s *Session) SolveContext(ctx context.Context) (*Solution, error) {
 // SolveInput applies the warm-start (InitialSources from the last
 // solution) exactly as the next SolveContext would and returns a
 // snapshot of the resulting problem — the complete solver input, since
-// a solve is a pure function of (universe, problem). The serving
-// layer's cross-session solve memo keys on its encoding: two sessions
-// over the same universe whose SolveInput snapshots are equal are
-// guaranteed identical solutions by the determinism contract.
+// a solve is a pure function of (universe, problem). The benchmark
+// ledger's churn replay check re-solves this snapshot on a fresh engine
+// and requires the session's solution bit for bit.
 // Calling SolveContext afterwards re-applies the same warm-start, so
 // SolveInput followed by SolveContext solves exactly this snapshot.
 func (s *Session) SolveInput() Problem {
@@ -100,20 +99,6 @@ func (s *Session) SolveInput() Problem {
 		s.problem.InitialSources = append([]int(nil), last.Sources...)
 	}
 	return snapshot(s.problem)
-}
-
-// AppendSolved appends an externally obtained solution for the problem
-// SolveInput returned, with exactly SolveContext's bookkeeping: the
-// iteration records a snapshot of the current problem, and the seed
-// advances so the next solve explores differently. The caller (the
-// serving layer's solve memo) owns the correctness obligation: sol must
-// be the solution SolveContext would have computed for SolveInput() —
-// bit-identical, which determinism makes checkable — or the session's
-// history silently diverges from a replay.
-func (s *Session) AppendSolved(sol *Solution) {
-	s.history = append(s.history, Iteration{Problem: snapshot(s.problem), Solution: sol})
-	s.problem.Seed++
-	s.churnDirty = false
 }
 
 // SetProblem replaces the session's current problem wholesale with a

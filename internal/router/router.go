@@ -610,14 +610,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shardTotals are the shard counters the router sums for its
 // aggregated view; the full per-shard /metrics docs ride alongside.
 type shardTotals struct {
-	SessionsCreated  int64 `json:"sessionsCreated"`
-	SessionsActive   int64 `json:"sessionsActive"`
-	Solves           int64 `json:"solves"`
-	SolvesAdmitted   int64 `json:"solvesAdmitted"`
-	SolveErrors      int64 `json:"solveErrors"`
-	QueueRejections  int64 `json:"queueRejections"`
-	SolveCacheHits   int64 `json:"solveCacheHits"`
-	SolveCacheMisses int64 `json:"solveCacheMisses"`
+	SessionsCreated int64 `json:"sessionsCreated"`
+	SessionsActive  int64 `json:"sessionsActive"`
+	Solves          int64 `json:"solves"`
+	SolvesAdmitted  int64 `json:"solvesAdmitted"`
+	SolveErrors     int64 `json:"solveErrors"`
+	QueueRejections int64 `json:"queueRejections"`
 }
 
 // metricsDoc is the router's aggregated /metrics body.
@@ -651,8 +649,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			doc.Totals.SolvesAdmitted += t.SolvesAdmitted
 			doc.Totals.SolveErrors += t.SolveErrors
 			doc.Totals.QueueRejections += t.QueueRejections
-			doc.Totals.SolveCacheHits += t.SolveCacheHits
-			doc.Totals.SolveCacheMisses += t.SolveCacheMisses
 		}
 	}
 	writeJSON(w, http.StatusOK, doc)

@@ -193,13 +193,6 @@ func (s *Server) runChurnJob(sn *session, job *solveJob) {
 	if err := sn.refreshProblemDoc(); err != nil {
 		panic(fmt.Sprintf("server: churn desync: repaired problem has no JSON form: %v", err))
 	}
-	if s.solveCache != nil {
-		fp, err := universeFingerprint(sn.eng.Universe())
-		if err != nil {
-			panic(fmt.Sprintf("server: churn desync: mutated universe has no JSON form: %v", err))
-		}
-		sn.universeFP = fp
-	}
 	n := sn.eng.Universe().N()
 	sn.mu.Lock()
 	sn.churnDocs = append(sn.churnDocs, schemaio.SnapshotChurnDoc{AfterSolves: afterSolves, Request: job.raw})

@@ -253,13 +253,6 @@ func (s *Server) restoreSnapshot(snap *schemaio.SessionSnapshotDoc) (*session, e
 		if snap.Churn[n-1].AfterSolves == snap.Solves {
 			sn.sess.MarkChurnDirty()
 		}
-		if s.solveCache != nil {
-			fp, err := universeFingerprint(sn.eng.Universe())
-			if err != nil {
-				return nil, fmt.Errorf("fingerprinting mutated universe: %w", err)
-			}
-			sn.universeFP = fp
-		}
 	}
 	if err := sn.refreshProblemDoc(); err != nil {
 		return nil, err
@@ -342,13 +335,6 @@ func (s *Server) replayChurn(sn *session, cd *schemaio.WALChurnDoc, doc *recover
 	}
 	if err := sn.refreshProblemDoc(); err != nil {
 		return err
-	}
-	if s.solveCache != nil {
-		fp, err := universeFingerprint(sn.eng.Universe())
-		if err != nil {
-			return fmt.Errorf("fingerprinting mutated universe: %w", err)
-		}
-		sn.universeFP = fp
 	}
 	sn.churnDocs = append(sn.churnDocs, schemaio.SnapshotChurnDoc{AfterSolves: len(sn.historyDocs), Request: cd.Request})
 	sn.sources = sn.eng.Universe().N()

@@ -44,10 +44,6 @@ type metrics struct {
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64
 
-	solveCacheHits      atomic.Int64 // solves answered by the cross-session memo
-	solveCacheMisses    atomic.Int64 // solves that ran the engine and filled the memo
-	solveCacheEvictions atomic.Int64 // memo entries dropped by the LRU bound
-
 	tracesCaptured   atomic.Int64 // solves traced and retained in a session ring
 	tracesSampledOut atomic.Int64 // solves not traced under the load sampling policy
 	traceTick        atomic.Int64 // sampling counter (not exported)
@@ -104,10 +100,6 @@ type metricsDoc struct {
 	MatchCacheHits      int64 `json:"matchCacheHits"`
 	MatchCacheMisses    int64 `json:"matchCacheMisses"`
 	MatchCacheEvictions int64 `json:"matchCacheEvictions"`
-
-	SolveCacheHits      int64 `json:"solveCacheHits"`
-	SolveCacheMisses    int64 `json:"solveCacheMisses"`
-	SolveCacheEvictions int64 `json:"solveCacheEvictions"`
 
 	TracesCaptured   int64 `json:"tracesCaptured"`
 	TracesSampledOut int64 `json:"tracesSampledOut"`
@@ -212,10 +204,6 @@ func (m *metrics) snapshot() *metricsDoc {
 		MatchCacheHits:      m.cacheHits.Load(),
 		MatchCacheMisses:    m.cacheMisses.Load(),
 		MatchCacheEvictions: m.cacheEvictions.Load(),
-
-		SolveCacheHits:      m.solveCacheHits.Load(),
-		SolveCacheMisses:    m.solveCacheMisses.Load(),
-		SolveCacheEvictions: m.solveCacheEvictions.Load(),
 
 		TracesCaptured:   m.tracesCaptured.Load(),
 		TracesSampledOut: m.tracesSampledOut.Load(),

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"ube/internal/faultinject"
 	"ube/internal/model"
 	"ube/internal/qef"
-	"ube/internal/schemaio"
 	"ube/internal/search"
 	"ube/internal/spec"
 	"ube/internal/trace"
@@ -263,7 +261,7 @@ func (s *Server) runJob(sn *session, job *solveJob) {
 	}
 	//ube:nondeterministic-ok latency measurement around the solve; never fed back into it
 	start := time.Now()
-	sol, memoHit, err := s.solveViaMemo(sn, solveCtx)
+	sol, err := sn.sess.SolveContext(solveCtx)
 	//ube:nondeterministic-ok latency measurement around the solve; never fed back into it
 	elapsed := time.Since(start)
 	sn.sess.SetProgress(nil)
@@ -350,9 +348,7 @@ func (s *Server) runJob(sn *session, job *solveJob) {
 	s.metrics.cacheHits.Add(sol.MatchCache.Hits)
 	s.metrics.cacheMisses.Add(sol.MatchCache.Misses)
 	s.metrics.cacheEvictions.Add(sol.MatchCache.Evictions)
-	// A memo hit ran no engine work, so the tracer saw nothing; an
-	// empty span tree would only mislead.
-	if trc != nil && !memoHit {
+	if trc != nil {
 		sn.storeTrace(job.iteration, trc.Finish())
 		s.metrics.tracesCaptured.Add(1)
 	}
@@ -374,59 +370,6 @@ func (s *Server) runJob(sn *session, job *solveJob) {
 		"evals":     sol.Evals,
 	})
 	finish(http.StatusOK, resp)
-}
-
-// solveViaMemo runs one solve through the cross-session memo
-// (solvecache.go) when it is enabled, falling back to a plain engine
-// solve otherwise. Worker context only. On a hit the session advances
-// via AppendSolved — proven bit-equivalent to SolveContext by the
-// engine's differential test — and the reported hit lets the caller
-// skip trace bookkeeping. Any failure to key, decode or encode simply
-// degrades to an uncached solve: the memo can never turn a solvable
-// request into an error.
-func (s *Server) solveViaMemo(sn *session, ctx context.Context) (*engine.Solution, bool, error) {
-	if s.solveCache == nil || sn.universeFP == "" {
-		sol, err := sn.sess.SolveContext(ctx)
-		return sol, false, err
-	}
-	key := ""
-	input := sn.sess.SolveInput()
-	input.Progress = nil
-	input.Trace = nil
-	if doc, err := schemaio.EncodeProblem(&input); err == nil {
-		if raw, err := json.Marshal(doc); err == nil {
-			key = sn.universeFP + "\x00" + string(raw)
-		}
-	}
-	if key != "" {
-		if frame, ok := s.solveCache.get(key); ok {
-			if doc, err := schemaio.DecodeBinarySolution(frame); err == nil {
-				if sol, err := doc.Decode(); err == nil {
-					s.metrics.solveCacheHits.Add(1)
-					sn.sess.AppendSolved(sol)
-					return sol, true, nil
-				}
-			}
-		}
-	}
-	sol, err := sn.sess.SolveContext(ctx)
-	if err != nil || key == "" {
-		return sol, false, err
-	}
-	s.metrics.solveCacheMisses.Add(1)
-	doc := schemaio.EncodeSolution(sol)
-	// Stored frames carry the logical result only: wall-clock time and
-	// match-cache counters describe the solve that filled the entry,
-	// not the hits it will serve, and replay comparisons zero them
-	// anyway.
-	doc.ElapsedNS = 0
-	doc.CacheHits, doc.CacheMisses, doc.CacheEvictions = 0, 0, 0
-	if frame, err := schemaio.EncodeBinarySolution(doc); err == nil {
-		if s.solveCache.put(key, frame) {
-			s.metrics.solveCacheEvictions.Add(1)
-		}
-	}
-	return sol, false, nil
 }
 
 // stall blocks for d, simulating a wedged worker, but stays bounded by

@@ -72,8 +72,6 @@ type Config struct {
 	// AuditWriter receives the append-only JSONL audit log of every
 	// session mutation; nil disables auditing.
 	AuditWriter io.Writer
-	// EngineOptions configure every engine the server builds.
-	EngineOptions []engine.Option
 	// SolveTimeout bounds each solve's execution; past it the solve is
 	// cancelled and the client gets 504 + Retry-After. 0 disables the
 	// deadline. The bound covers stalled workers too: a worker is never
@@ -87,10 +85,6 @@ type Config struct {
 	// internal/faultinject and DESIGN.md §10). Chaos testing only; nil
 	// in production.
 	FaultInjector *faultinject.Injector
-	// TraceSampleEvery thins solve tracing under load: while the queue
-	// is shallow (depth ≤ Workers) every solve is traced; past that only
-	// every TraceSampleEvery-th solve is. Default 8; see trace.go.
-	TraceSampleEvery int
 	// WALDir, when set, makes sessions durable: every create, committed
 	// solve, delete and evict is written ahead to a segment log there,
 	// and Open replays whatever the log holds before serving (see
@@ -114,13 +108,6 @@ type Config struct {
 	// AuditWriter JSONL. Callers own sealing on their own schedule;
 	// Shutdown seals the final partial batch.
 	AuditChain *auditlog.Writer
-	// SolveCacheSize bounds the deterministic cross-session solve memo
-	// (entries, LRU past the bound; see solvecache.go). Identical
-	// solver inputs over identical universes are answered from the
-	// memo without engine work — exact by the determinism contract,
-	// since a solve is a pure function of (universe, input snapshot).
-	// 0 disables the memo (the default).
-	SolveCacheSize int
 }
 
 func (c *Config) withDefaults() Config {
@@ -137,9 +124,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.RetryAfterSeconds <= 0 {
 		cfg.RetryAfterSeconds = 2
 	}
-	if cfg.TraceSampleEvery <= 0 {
-		cfg.TraceSampleEvery = 8
-	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 16
 	}
@@ -154,14 +138,11 @@ type Server struct {
 	audit   *auditLog
 	mux     *http.ServeMux
 	inj     *faultinject.Injector
-	engOpts []engine.Option
 
 	mu       sync.Mutex
 	sessions map[string]*session
 	draining bool
 	nextID   atomic.Int64
-
-	solveCache *solveCache // nil unless Config.SolveCacheSize > 0
 
 	wal       *wal.Log
 	recovered *recoveryDoc
@@ -206,13 +187,6 @@ func Open(cfg Config) (*Server, error) {
 		drainCh:  make(chan struct{}),
 	}
 	s.audit.arm(s.inj, &s.metrics.auditDropped)
-	if cfg.SolveCacheSize > 0 {
-		s.solveCache = newSolveCache(cfg.SolveCacheSize)
-	}
-	s.engOpts = cfg.EngineOptions
-	if s.inj != nil {
-		s.engOpts = append(append([]engine.Option(nil), cfg.EngineOptions...), engine.WithFaultInjector(s.inj))
-	}
 	s.routes()
 	if cfg.WALDir != "" {
 		if err := s.openDurable(); err != nil {
@@ -487,7 +461,7 @@ func (s *Server) buildSession(req *createSessionRequest) (*session, error) {
 		prob = defaultProblemFor(u)
 	}
 
-	eng, err := engine.New(u, s.engOpts...)
+	eng, err := engine.New(u, engine.WithFaultInjector(s.inj))
 	if err != nil {
 		return nil, fmt.Errorf("building engine: %v", err)
 	}
@@ -497,13 +471,6 @@ func (s *Server) buildSession(req *createSessionRequest) (*session, error) {
 		eng:     eng,
 		sess:    engine.NewSession(eng, prob),
 		sources: u.N(),
-	}
-	if s.solveCache != nil {
-		fp, err := universeFingerprint(u)
-		if err != nil {
-			return nil, fmt.Errorf("fingerprinting universe: %v", err)
-		}
-		sn.universeFP = fp
 	}
 	//ube:nondeterministic-ok creation time is TTL bookkeeping, not solver input
 	sn.created = time.Now()

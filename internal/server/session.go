@@ -32,11 +32,6 @@ type session struct {
 	// encoding) so recovery can rebuild the engine from the same input
 	// the live create handler saw.
 	createRaw []byte
-	// universeFP keys the cross-session solve memo (solvecache.go);
-	// empty when the memo is disabled. Worker-context only after the
-	// create handler returns: churn recomputes it when the universe
-	// mutates, and the only reader (solveViaMemo) runs on the worker.
-	universeFP string
 
 	mu        sync.Mutex
 	lastUsed  time.Time

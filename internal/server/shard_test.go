@@ -14,8 +14,7 @@ import (
 
 // The server-side building blocks of sharded serving: client-supplied
 // session IDs (the router places sessions under keys it hashed),
-// binary content negotiation on the hot paths, and the deterministic
-// cross-session solve memo.
+// and binary content negotiation on the hot paths.
 
 func TestClientSuppliedSessionIDs(t *testing.T) {
 	u := testUniverse(t, 25)
@@ -159,93 +158,6 @@ func TestBinaryContentNegotiation(t *testing.T) {
 	resp = getJSON(t, ts.URL+"/v1/sessions/"+id+"/history", nil)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("default history content type %q", ct)
-	}
-}
-
-// TestSolveMemoIsExact drives two sessions through the same scripted
-// iterations on a memo-enabled server and a third on a memo-free one:
-// all three histories must agree on every solver-visible field, and the
-// memo must actually serve the repeats.
-func TestSolveMemoIsExact(t *testing.T) {
-	u := testUniverse(t, 25)
-	srvMemo, tsMemo := newTestServer(t, Config{SolveCacheSize: 64})
-	_, tsPlain := newTestServer(t, Config{})
-
-	script := func(base string) []schemaio.IterationDoc {
-		id := createSession(t, base, u, testProblemDoc())
-		for k := 0; k < 3; k++ {
-			var req solveRequest
-			if k == 2 {
-				th := 0.75
-				req.Theta = &th
-			}
-			resp, body := postJSON(t, base+"/v1/sessions/"+id+"/solve", req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("solve %d: %d %s", k, resp.StatusCode, body)
-			}
-		}
-		var h historyDoc
-		getJSON(t, base+"/v1/sessions/"+id+"/history", &h)
-		return h.Iterations
-	}
-
-	a := script(tsMemo.URL)  // fills the memo
-	b := script(tsMemo.URL)  // must be served from it
-	c := script(tsPlain.URL) // the uncached reference
-
-	for _, pair := range []struct {
-		name string
-		x, y []schemaio.IterationDoc
-	}{{"memo-vs-memo", a, b}, {"memo-vs-plain", a, c}} {
-		if len(pair.x) != len(pair.y) {
-			t.Fatalf("%s: %d vs %d iterations", pair.name, len(pair.x), len(pair.y))
-		}
-		for i := range pair.x {
-			x, y := canonicalIteration(pair.x[i]), canonicalIteration(pair.y[i])
-			if !reflect.DeepEqual(x, y) {
-				t.Errorf("%s: iteration %d diverged:\n%+v\n%+v", pair.name, i, x, y)
-			}
-		}
-	}
-
-	m := srvMemo.Metrics().(*metricsDoc)
-	if m.SolveCacheMisses != 3 {
-		t.Errorf("solve cache misses = %d, want 3 (one per distinct input)", m.SolveCacheMisses)
-	}
-	if m.SolveCacheHits != 3 {
-		t.Errorf("solve cache hits = %d, want 3 (the whole second run)", m.SolveCacheHits)
-	}
-}
-
-// canonicalIteration zeroes the operational telemetry that legitimately
-// differs between bit-identical solves, mirroring the chaos suite.
-func canonicalIteration(it schemaio.IterationDoc) schemaio.IterationDoc {
-	it.Solution.ElapsedNS = 0
-	it.Solution.CacheHits, it.Solution.CacheMisses, it.Solution.CacheEvictions = 0, 0, 0
-	return it
-}
-
-func TestSolveCacheLRUBound(t *testing.T) {
-	c := newSolveCache(2)
-	c.put("a", []byte{1})
-	c.put("b", []byte{2})
-	if evicted := c.put("c", []byte{3}); !evicted {
-		t.Error("third insert into cap-2 cache did not evict")
-	}
-	if _, ok := c.get("a"); ok {
-		t.Error("LRU victim still present")
-	}
-	if f, ok := c.get("b"); !ok || f[0] != 2 {
-		t.Error("survivor missing")
-	}
-	// Refreshing recency protects an entry.
-	c.get("b")
-	c.put("d", []byte{4})
-	if _, ok := c.get("b"); !ok {
-		t.Error("recently used entry evicted")
-	}
-	if c.len() != 2 {
-		t.Errorf("cache len %d, want 2", c.len())
 	}
 }
 

@@ -17,12 +17,17 @@ import (
 // results — so the only operational question is overhead under load,
 // which the sampling policy answers: while the admission queue is
 // shallow (depth ≤ worker pool) every solve is traced; once a backlog
-// forms only every TraceSampleEvery-th solve is, so tracing cost cannot
+// forms only every traceSampleEvery-th solve is, so tracing cost cannot
 // compound the backlog.
 
-// traceRingSize bounds the per-session trace ring: the last
-// traceRingSize captured traces (by iteration) are retained.
-const traceRingSize = 8
+const (
+	// traceRingSize bounds the per-session trace ring: the last
+	// traceRingSize captured traces (by iteration) are retained.
+	traceRingSize = 8
+	// traceSampleEvery thins tracing once the queue is deeper than the
+	// worker pool: only every traceSampleEvery-th solve is traced.
+	traceSampleEvery = 8
+)
 
 // storedTrace is one captured solve trace; the Trace is immutable after
 // Finish, so handlers may encode it outside the session lock.
@@ -36,7 +41,7 @@ func (s *Server) shouldTrace() bool {
 	if int(s.metrics.queueDepth.Load()) <= s.cfg.Workers {
 		return true
 	}
-	return s.metrics.traceTick.Add(1)%int64(s.cfg.TraceSampleEvery) == 0
+	return s.metrics.traceTick.Add(1)%traceSampleEvery == 0
 }
 
 // storeTrace appends a finished trace to the session's ring. Worker

@@ -134,7 +134,7 @@ func itoa(n int) string {
 // TestTraceSampling pins the sampling policy arithmetic: shallow queues
 // trace every solve; deep queues thin to every Nth.
 func TestTraceSampling(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, TraceSampleEvery: 4})
+	srv := New(Config{Workers: 1, QueueDepth: 8})
 	defer func() {
 		if err := srv.Shutdown(t.Context()); err != nil {
 			t.Error(err)
@@ -144,15 +144,15 @@ func TestTraceSampling(t *testing.T) {
 	if !srv.shouldTrace() {
 		t.Error("shallow queue not traced")
 	}
-	// Deep queue: every 4th tick.
+	// Deep queue: every traceSampleEvery-th tick.
 	srv.metrics.queueDepth.Store(5)
 	traced := 0
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		if srv.shouldTrace() {
 			traced++
 		}
 	}
 	if traced != 2 {
-		t.Errorf("deep queue traced %d of 8, want 2", traced)
+		t.Errorf("deep queue traced %d of 16, want 2", traced)
 	}
 }

@@ -63,11 +63,14 @@ type gramIndex struct {
 
 // gramVocab interns character n-grams into dense int32 IDs in
 // first-seen order. It is the one gram-set builder behind the dense
-// matrix kernel, the blocking index and the dynamic index.
+// matrix kernel, the blocking index and the dynamic index. Only the
+// dynamic index releases grams; the batch builders never do, so their
+// IDs stay in first-seen order.
 type gramVocab struct {
 	n     int
 	ids   map[string]int32
-	grams []string // gram ID -> gram string
+	grams []string // gram ID -> gram string ("" once released)
+	free  []int32  // released IDs, reused before new ones
 	cuts  []int    // scratch: byte offsets of a name's rune boundaries
 }
 
@@ -105,15 +108,29 @@ func (v *gramVocab) set(name string) []int32 {
 	return slices.Compact(set)
 }
 
-// id interns one gram string.
+// id interns one gram string, reusing a released ID when there is one.
 func (v *gramVocab) id(g string) int32 {
 	if id, ok := v.ids[g]; ok {
 		return id
 	}
-	id := int32(len(v.grams))
+	var id int32
+	if k := len(v.free) - 1; k >= 0 {
+		id, v.free = v.free[k], v.free[:k]
+		v.grams[id] = g
+	} else {
+		id = int32(len(v.grams))
+		v.grams = append(v.grams, g)
+	}
 	v.ids[g] = id
-	v.grams = append(v.grams, g)
 	return id
+}
+
+// release forgets gram id so a later id call can reuse it. The caller
+// guarantees that no gram set it still holds contains id.
+func (v *gramVocab) release(id int32) {
+	delete(v.ids, v.grams[id])
+	v.grams[id] = ""
+	v.free = append(v.free, id)
 }
 
 // buildGramIndex grams every name and interns the gram vocabulary in

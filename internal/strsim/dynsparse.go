@@ -30,7 +30,7 @@ type DynSparse struct {
 	dice  bool
 	coef  func(la, lb, inter int) float64
 
-	grams *gramVocab              // own gram interning (IDs are arbitrary but stable)
+	grams *gramVocab              // own gram interning: live names' grams only (IDs are arbitrary but stable while live)
 	sets  map[int32][]int32       // live name ID -> ascending gram IDs
 	post  map[int32][]int32       // gram ID -> ascending live name IDs
 	rows  map[int32][]sparseEntry // live name ID -> θ-neighbors (self excluded), ascending
@@ -141,7 +141,9 @@ func (d *DynSparse) Insert(id int) error {
 }
 
 // Delete removes one live name: its postings and row, plus its entry
-// in every neighbor's row. Deleting a name that is not live is an error.
+// in every neighbor's row. A gram no live name holds any more leaves the
+// vocabulary, so the vocabulary tracks the live names, not the churn
+// history. Deleting a name that is not live is an error.
 func (d *DynSparse) Delete(id int) error {
 	a := int32(id)
 	set, ok := d.sets[a]
@@ -159,6 +161,7 @@ func (d *DynSparse) Delete(id int) error {
 		d.post[g] = removeID(d.post[g], a)
 		if len(d.post[g]) == 0 {
 			delete(d.post, g)
+			d.grams.release(g)
 		}
 	}
 	delete(d.sets, a)

@@ -198,6 +198,72 @@ func TestDynSparseInsertDeleteNoOp(t *testing.T) {
 	}
 }
 
+// TestDynSparseVocabTracksLiveNames: after heavy churn the index holds
+// exactly the grams of its live names, and re-inserting deleted names,
+// which reuses released gram IDs, still freezes to the batch build.
+func TestDynSparseVocabTracksLiveNames(t *testing.T) {
+	const theta = 0.65
+	mk := func() Measure { return NewNGramJaccard(3) }
+	c := NewCache(mk())
+	d, err := NewDynSparse(c, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, n := range blockVocab(2000, 41) {
+		id := c.Intern(n)
+		if d.Contains(id) {
+			continue
+		}
+		if err := d.Insert(id); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	var live, dead []int
+	for i, id := range ids {
+		if i%10 == 0 {
+			live = append(live, id)
+			continue
+		}
+		if err := d.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		dead = append(dead, id)
+	}
+	check := func(stage string) {
+		t.Helper()
+		distinct := make(map[string]struct{})
+		var names []string
+		for _, id := range live {
+			names = append(names, c.NameOf(id))
+			for g := range NGrams(c.NameOf(id), 3) {
+				distinct[g] = struct{}{}
+			}
+		}
+		if got := len(d.grams.ids); got != len(distinct) {
+			t.Fatalf("%s: %d interned grams for %d live names holding %d distinct grams", stage, got, len(live), len(distinct))
+		}
+		sort.Ints(live)
+		rc, ref := freshReference(mk, names, theta)
+		var refLive []int
+		for _, n := range names {
+			refLive = append(refLive, rc.Intern(n))
+		}
+		if !reflect.DeepEqual(dynCanonical(c, d.Freeze(), live), dynCanonical(rc, ref, refLive)) {
+			t.Fatalf("%s: incremental table diverged from fresh build", stage)
+		}
+	}
+	check("after deletes")
+	for _, id := range dead[:500] {
+		if err := d.Insert(id); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+	}
+	check("after re-inserts")
+}
+
 // TestDynSparseErrors covers the constructor and mutation refusals.
 func TestDynSparseErrors(t *testing.T) {
 	c := NewCache(NewNGramJaccard(3))
