@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ube/internal/model"
@@ -417,11 +418,15 @@ func TestAgendaMatchesLegacyWithSourceConstraints(t *testing.T) {
 // synthBench returns the synthetic BAMM universe the experiments use
 // (N=200), a configuration scoring it through a dense matrix with a θ
 // adjacency index and precomputed name IDs, and 64 random m=50 subsets —
-// the candidate sets the solver's inner loop evaluates.
-func synthBench(b *testing.B) (*model.Universe, Config, [][]int) {
+// the candidate sets the solver's inner loop evaluates. paired gives every
+// source the plural of its first attribute as well (see pairUp).
+func synthBench(b *testing.B, paired bool) (*model.Universe, Config, [][]int) {
 	u, _, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
+	}
+	if paired {
+		pairUp(u)
 	}
 	cfg := Config{Theta: 0.65, Beta: 2, Sim: strsim.NewCache(nil)}
 	for i := range u.Sources {
@@ -442,13 +447,29 @@ func synthBench(b *testing.B) (*model.Universe, Config, [][]int) {
 	return u, cfg, subsets
 }
 
+// pairUp appends to every source the plural of its first attribute,
+// which the n-gram measure scores at least 0.66 against it: the source
+// then has two slots in one θ-component, which Split cannot decide in
+// closed form.
+func pairUp(u *model.Universe) {
+	for i := range u.Sources {
+		if a := u.Sources[i].Attributes; !slices.Contains(a, a[0]+"s") {
+			u.Sources[i].Attributes = append(a, a[0]+"s")
+		}
+	}
+}
+
 // BenchmarkMatchSynth measures Match on synthBench's subsets: whole-set
 // Match on the agenda, with and without the seed agenda, and the path a
-// solve runs, Split then Components.Match and F1, with no memo.
+// solve runs, Split then Components.Match and F1, with no memo. On the
+// synthetic universe every component is source-disjoint and decided in
+// closed form; the paired variants run it on the paired universe, where
+// most components repeat a source, without a memo and with one reusing
+// Parts by key across subsets the way a solve's memo does.
 func BenchmarkMatchSynth(b *testing.B) {
-	for _, mode := range []string{"agenda", "agenda-seedidx", "components"} {
+	for _, mode := range []string{"agenda", "agenda-seedidx", "components", "components-paired", "components-paired-memo"} {
 		b.Run(mode, func(b *testing.B) {
-			u, cfg, subsets := synthBench(b)
+			u, cfg, subsets := synthBench(b, strings.HasPrefix(mode, "components-paired"))
 			cfg.Scratch = &Scratch{}
 			if mode == "agenda-seedidx" {
 				cfg.Seed = BuildSeedPairs(u, cfg.NameIDs, cfg.Neighbors, cfg.Scores, cfg.Theta)
@@ -456,20 +477,33 @@ func BenchmarkMatchSynth(b *testing.B) {
 					b.Fatal("BuildSeedPairs returned nil")
 				}
 			}
+			memo := map[string]*Part{}
 			var idx []int
 			for i := 0; b.Loop(); i++ {
 				S := subsets[i%len(subsets)]
-				if mode != "components" {
+				if strings.HasPrefix(mode, "agenda") {
 					Match(u, S, nil, nil, cfg)
 					continue
 				}
 				cs := Split(u, S, nil, cfg)
 				idx = idx[:0]
 				for k := range cs.Len() {
-					idx = append(idx, k)
+					if p, ok := memo[string(cs.Key(k))]; ok {
+						cs.Set(k, p)
+					} else {
+						idx = append(idx, k)
+					}
 				}
 				cs.Match(idx)
+				if mode == "components-paired-memo" {
+					for _, k := range idx {
+						memo[string(cs.Key(k))] = cs.Part(k)
+					}
+				}
 				cs.F1(nil)
+			}
+			if len(memo) > 0 {
+				b.ReportMetric(float64(len(memo)), "memo-keys")
 			}
 		})
 	}

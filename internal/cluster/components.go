@@ -11,8 +11,8 @@ import (
 )
 
 // This file evaluates Match(S) one θ-component at a time. Link two
-// attribute names of S when the adjacency index lists them as neighbors
-// at θ, and join the names of each GA constraint. Algorithm 1 never
+// attribute names of S when the adjacency index lists them and they score
+// ≥ θ, and join the names of each GA constraint. Algorithm 1 never
 // crosses a connected component of that graph, so its output on S is the
 // union of its outputs on the components run one by one (DESIGN.md §7
 // gives the argument):
@@ -28,7 +28,10 @@ import (
 //     nothing in it;
 //   - only grown clusters and GA-constraint clusters reach the output, so
 //     a component whose attributes all come from one source, with no GA
-//     constraint, outputs nothing and need not run at all.
+//     constraint, outputs nothing and need not run at all;
+//   - a component where no source has two slots is decided in closed
+//     form, in the pass that splits S (closedPart), with no memo key and
+//     no run: Algorithm 1 merges it into one GA.
 //
 // Match on S is then the composition of the components' Parts: the GAs
 // are their union, F1 is their mean summed in schema order, and S is
@@ -75,6 +78,7 @@ type Components struct {
 	distinct        []int32
 	edges           [][2]int32 // adjacency index links between names of S
 	tmp             []compTmp
+	open            int // comps[:open] run Algorithm 1; the rest are in closed form
 
 	merged []gaAt // F1's composition buffer
 }
@@ -90,9 +94,11 @@ type slotRec struct {
 
 // compRec is one component that can output a GA.
 type compRec struct {
-	lo, hi       int32 // its slots: order[lo:hi]
-	keyLo, keyHi int32 // its memo key: keys[keyLo:keyHi]
-	shape        bool  // keyed by shape, not identity
+	lo, hi       int32   // its slots: order[lo:hi]
+	keyLo, keyHi int32   // its memo key: keys[keyLo:keyHi]
+	shape        bool    // keyed by shape, not identity
+	out, fromG   bool    // closed form: it outputs its one GA, which holds a GA constraint
+	q            float64 // closed form: that GA's quality
 }
 
 // Memo key kinds (see Components.Key).
@@ -110,10 +116,11 @@ type compTmp struct {
 	keep          int32 // index in comps, or -1 when it cannot output a GA
 }
 
-// gaAt locates GA j of part p during composition; first is the slot index
-// of its first attribute.
+// gaAt is one output GA during F1's composition: the slot index of its
+// first attribute and its quality.
 type gaAt struct {
-	first, p, j int32
+	first int32
+	q     float64
 }
 
 // Split partitions the attribute slots of S into θ-components (see the
@@ -224,13 +231,17 @@ func (cs *Components) partition() {
 			union(cs.distinct[0], n)
 		}
 	} else {
+		// The index may list links under θ (see Config.Neighbors): those
+		// join no cluster, so they join no component.
 		for _, n := range cs.distinct {
 			if int(n) >= len(nbrs) {
 				continue
 			}
 			for _, nb := range nbrs[n] {
 				if nb < len(cs.mark) && cs.mark[nb] == gen {
-					union(n, int32(nb))
+					if cs.cfg.Scores.Score(int(n), nb) >= cs.cfg.Theta {
+						union(n, int32(nb))
+					}
 					cs.edges = append(cs.edges, [2]int32{n, int32(nb)})
 				}
 			}
@@ -252,7 +263,7 @@ func (cs *Components) partition() {
 		if cs.compMark[root] != gen {
 			cs.compMark[root] = gen
 			cs.compIdx[root] = int32(len(cs.tmp))
-			cs.tmp = append(cs.tmp, compTmp{root: root, last: -1})
+			cs.tmp = append(cs.tmp, compTmp{root: root, last: -1, keep: -1})
 		}
 		return cs.compIdx[root]
 	}
@@ -273,18 +284,25 @@ func (cs *Components) partition() {
 		cs.gComp = append(cs.gComp, c)
 	}
 
-	// Keep the components that can output a GA and group their slots.
+	// Keep the components that can output a GA, those where a source
+	// repeats first, and group their slots. A source-disjoint component
+	// is decided in closed form (see closedPart), which needs the index:
+	// without one, the links do not connect it at θ.
 	cs.comps = cs.comps[:0]
 	var off int32
-	for i := range cs.tmp {
-		t := &cs.tmp[i]
-		t.keep = -1
-		if t.hasG || t.srcs >= 2 {
-			t.keep = int32(len(cs.comps))
-			cs.comps = append(cs.comps, compRec{lo: off, hi: off})
-			off += t.n
+	for _, closed := range [2]bool{false, true} {
+		if closed {
+			cs.open = len(cs.comps)
+		}
+		for i := range cs.tmp {
+			if t := &cs.tmp[i]; (t.hasG || t.srcs >= 2) && closed == (nbrs != nil && t.n == t.srcs) {
+				t.keep = int32(len(cs.comps))
+				cs.comps = append(cs.comps, compRec{lo: off, hi: off, out: t.hasG || t.n >= int32(max(cs.cfg.Beta, 2)), fromG: t.hasG})
+				off += t.n
+			}
 		}
 	}
+	cs.cfg.Scratch.closed += int64(len(cs.comps) - cs.open)
 	cs.order = slices.Grow(cs.order[:0], int(off))[:off]
 	for i := range cs.slots {
 		if k := cs.tmp[cs.slots[i].comp].keep; k >= 0 {
@@ -298,15 +316,15 @@ func (cs *Components) partition() {
 		cs.gComp[gi] = cs.tmp[c].keep
 	}
 
-	// Key each kept component (see Key). An identity key is the smallest
-	// name ID and then the ascending contributing sources, as uvarints:
-	// the encoding is uniquely decodable, so equal keys mean equal (root,
-	// sources). That pair fixes the component: it is the component of
-	// root in the graph on the named sources' names.
+	// Key each component where a source repeats (see Key). An identity
+	// key is the smallest name ID and then the ascending contributing
+	// sources, as uvarints: the encoding is uniquely decodable, so equal
+	// keys mean equal (root, sources). That pair fixes the component: it
+	// is the component of root in the graph on the named sources' names.
 	cs.keys = cs.keys[:0]
 	for i := range cs.tmp {
 		t := &cs.tmp[i]
-		if t.keep < 0 {
+		if int(t.keep) < 0 || int(t.keep) >= cs.open {
 			continue
 		}
 		c := &cs.comps[t.keep]
@@ -326,15 +344,32 @@ func (cs *Components) partition() {
 		c.keyHi = int32(len(cs.keys))
 	}
 	// Fill in each shape key's adjacency mask, its last 8 bytes: bit
-	// 8i+j says the index lists label j's name among label i's neighbors.
-	// Linked names share a component.
+	// 8i+j says the index lists label j's name among label i's neighbors,
+	// at any score: a lossy index's run can depend on a link under θ.
 	for _, e := range cs.edges {
-		k := cs.tmp[cs.compIdx[find(e[0])]].keep
-		if k < 0 || !cs.comps[k].shape {
+		r := find(e[0])
+		k := cs.tmp[cs.compIdx[r]].keep
+		if k < 0 || !cs.comps[k].shape || find(e[1]) != r {
 			continue
 		}
 		bit := int(cs.label[e[0]])*maxShapeNames + int(cs.label[e[1]])
 		cs.keys[int(cs.comps[k].keyHi)-8+bit/8] |= 1 << (bit % 8)
+	}
+	// A closed-form GA's quality, as quality computes it: 1 when a name
+	// repeats, else the best score over its names.
+	for k := cs.open; k < len(cs.comps); k++ {
+		c := &cs.comps[k]
+	pairs:
+		for x, a := range cs.order[c.lo:c.hi] {
+			for _, b := range cs.order[c.lo+int32(x)+1 : c.hi] {
+				na, nb := cs.slots[a].name, cs.slots[b].name
+				if na == nb {
+					c.q = 1
+					break pairs
+				}
+				c.q = max(c.q, cs.cfg.Scores.Score(int(min(na, nb)), int(max(na, nb))))
+			}
+		}
 	}
 	cs.parts = slices.Grow(cs.parts[:0], len(cs.comps))[:len(cs.comps)]
 	clear(cs.parts)
@@ -395,8 +430,14 @@ func (cs *Components) slot(k int, pos int32) *slotRec {
 	return &cs.slots[cs.order[cs.comps[k].lo+pos]]
 }
 
-// Len reports the number of components that can output a GA.
-func (cs *Components) Len() int { return len(cs.comps) }
+// Len reports the number of components that can output a GA and are
+// not decided in closed form: those where a source has two slots. Key,
+// Set, Part and Match number them 0…Len()−1.
+func (cs *Components) Len() int { return cs.open }
+
+// Closed reports the number of components decided in closed form. Audit
+// numbers them Len()…Len()+Closed()−1.
+func (cs *Components) Closed() int { return len(cs.comps) - cs.open }
 
 // Key returns component i's memo key. Within one set of clustering
 // parameters (θ, β, G, the scorer and the adjacency index), equal keys
@@ -437,16 +478,24 @@ func (cs *Components) run(k int, cfg Config) *Part {
 
 // Audit re-runs Algorithm 1 on component i in a private Scratch with no
 // Stats, so no counter moves, and panics unless component i's installed
-// Part is bit-equal to the fresh one. It is the ubedebug build's check on
-// memoized Parts.
+// or closed-form Part is bit-equal to the fresh one. It is the ubedebug
+// build's check on memoized and closed-form Parts.
 func (cs *Components) Audit(i int) {
+	p, q, same := cs.audit(i)
+	ubedebug.Assert(same, "cluster: Part %+v of component %d differs from a fresh run's %+v", p, i, q)
+	ubedebug.CountAudit()
+}
+
+// audit returns component i's installed or closed-form Part, Audit's
+// fresh run of it, and whether the two are bit-equal.
+func (cs *Components) audit(i int) (p, q *Part, same bool) {
 	cfg := cs.cfg
 	cfg.Scratch, cfg.Stats = &Scratch{}, nil
-	p, q := cs.parts[i], cs.run(i, cfg)
-	ubedebug.Assert(slices.EqualFunc(p.GAs, q.GAs, slices.Equal[[]int32]) && slices.Equal(p.FromConstraint, q.FromConstraint) &&
-		slices.EqualFunc(p.Quality, q.Quality, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }),
-		"cluster: memoized Part %+v of component %x differs from a fresh run's %+v", p, cs.Key(i), q)
-	ubedebug.CountAudit()
+	if p, q = cs.parts[i], cs.run(i, cfg); i >= cs.open {
+		p = cs.closedPart(i)
+	}
+	return p, q, slices.EqualFunc(p.GAs, q.GAs, slices.Equal[[]int32]) && slices.Equal(p.FromConstraint, q.FromConstraint) &&
+		slices.EqualFunc(p.Quality, q.Quality, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 }
 
 // seed builds component k's initial clusters in the relative order
@@ -505,20 +554,25 @@ func (cs *Components) F1(C []int) (float64, bool) {
 	}
 	sum := 0.0
 	for _, at := range cs.merged {
-		sum += cs.parts[at.p].Quality[at.j]
+		sum += at.q
 	}
 	return sum / float64(len(cs.merged)), true
 }
 
 // touches reports whether some output GA holds a slot of source src.
 func (cs *Components) touches(src int) bool {
-	for k, p := range cs.parts {
+	for k, p := range cs.parts[:cs.open] {
 		for _, g := range p.GAs {
 			for _, pos := range g {
 				if cs.slot(k, pos).ref.Source == src {
 					return true
 				}
 			}
+		}
+	}
+	for _, c := range cs.comps[cs.open:] {
+		if c.out && slices.ContainsFunc(cs.order[c.lo:c.hi], func(si int32) bool { return cs.slots[si].ref.Source == src }) {
+			return true
 		}
 	}
 	return false
@@ -528,19 +582,42 @@ func (cs *Components) touches(src int) bool {
 // slot index of its first attribute, which distinct GAs never share.
 // Slots are in (source, attr) order, so that is first-attribute order.
 func (cs *Components) mergeOrder(out []gaAt) []gaAt {
-	for k, p := range cs.parts {
+	for k, p := range cs.parts[:cs.open] {
 		for j, g := range p.GAs {
-			out = append(out, gaAt{first: cs.order[cs.comps[k].lo+g[0]], p: int32(k), j: int32(j)})
+			out = append(out, gaAt{first: cs.order[cs.comps[k].lo+g[0]], q: p.Quality[j]})
+		}
+	}
+	for _, c := range cs.comps[cs.open:] {
+		if c.out {
+			out = append(out, gaAt{first: cs.order[c.lo], q: c.q})
 		}
 	}
 	slices.SortFunc(out, func(a, b gaAt) int { return cmp.Compare(a.first, b.first) })
 	return out
 }
 
-// Result composes the installed Parts into the Result Match returns for
-// the whole set. Every component must have its Part.
+// Result composes the installed and closed-form Parts into the Result
+// Match returns for the whole set. Every component must have its Part.
 func (cs *Components) Result(C []int) Result {
+	for k := cs.open; k < len(cs.comps); k++ {
+		cs.parts[k] = cs.closedPart(k)
+	}
 	return compose(cs.parts, func(k int, pos int32) model.AttrRef { return cs.slot(k, pos).ref }, C)
+}
+
+// closedPart is Algorithm 1's output on closed-form component k: one GA
+// of every slot, with the quality partition found, kept iff it holds a
+// GA constraint or max(β, 2) slots (DESIGN.md §7).
+func (cs *Components) closedPart(k int) *Part {
+	c := &cs.comps[k]
+	if !c.out {
+		return &Part{}
+	}
+	pos := make([]int32, c.hi-c.lo)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return &Part{GAs: [][]int32{pos}, Quality: []float64{c.q}, FromConstraint: []bool{c.fromG}}
 }
 
 // compose merges parts into one Result (Algorithm 1 line 24 on their

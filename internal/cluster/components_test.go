@@ -51,10 +51,13 @@ func componentResult(c componentCase, cfg Config, memo map[string]*Part) (Result
 // randomCase draws a universe over the near-duplicate test vocabulary and
 // a candidate set of it, sometimes with GA constraints and source
 // constraints (which often make the set invalid on C).
-func randomCase(r *rand.Rand) componentCase {
+func randomCase(r *rand.Rand) componentCase { return drawCase(r, randomSchemas) }
+
+// drawCase is randomCase over the schemas drawn by schemas.
+func drawCase(r *rand.Rand, schemas func(*rand.Rand, int) [][]string) componentCase {
 	n := 2 + r.Intn(18)
 	c := componentCase{
-		u:     mkUniverse(randomSchemas(r, n)...),
+		u:     mkUniverse(schemas(r, n)...),
 		theta: []float64{0.4, 0.5, 0.65, 0.8, 0.95}[r.Intn(5)],
 		beta:  2 + r.Intn(3),
 	}
@@ -73,6 +76,60 @@ func randomCase(r *rand.Rand) componentCase {
 		}
 	}
 	return c
+}
+
+// familySchemas draws n source schemas that each take one name from one
+// to four families of near-duplicate names, so that no source holds two
+// names of a family and most θ-components are source-disjoint, with
+// names repeated across sources.
+func familySchemas(r *rand.Rand, n int) [][]string {
+	families := [][]string{
+		{"title", "titles", "book title"}, {"author", "authors", "writer"}, {"isbn", "isbn number"},
+		{"price", "price range"}, {"keyword", "keywords"}, {"publisher"}, {"format"}, {"year"},
+	}
+	schemas := make([][]string, n)
+	for i := range schemas {
+		for _, f := range r.Perm(len(families))[:1+r.Intn(4)] {
+			schemas[i] = append(schemas[i], families[f][r.Intn(len(families[f]))])
+		}
+	}
+	return schemas
+}
+
+// sameNameConstraints draws two GA constraints over four slots of S that
+// share one name, so both fall in one component, or none when no name
+// has four slots.
+func sameNameConstraints(r *rand.Rand, u *model.Universe, S []int) []model.GA {
+	byName := map[string][]model.AttrRef{}
+	var fit []string
+	for _, s := range S {
+		for a, name := range u.Sources[s].Attributes {
+			if byName[name] = append(byName[name], model.AttrRef{Source: s, Attr: a}); len(byName[name]) == 4 {
+				fit = append(fit, name)
+			}
+		}
+	}
+	if len(fit) == 0 {
+		return nil
+	}
+	refs := byName[fit[r.Intn(len(fit))]]
+	at := r.Perm(len(refs))
+	return []model.GA{model.NewGA(refs[at[0]], refs[at[1]]), model.NewGA(refs[at[2]], refs[at[3]])}
+}
+
+// pairedSchemas draws n source schemas that each hold a name and its
+// plural, scoring 0.8 under the n-gram measure, for one to three stems:
+// a source then has two slots in each component it touches, and
+// components of one shape repeat within a set.
+func pairedSchemas(r *rand.Rand, n int) [][]string {
+	stems := []string{"author", "format", "seller", "edition"}
+	schemas := make([][]string, n)
+	for i := range schemas {
+		for _, j := range r.Perm(len(stems))[:1+r.Intn(3)] {
+			schemas[i] = append(schemas[i], stems[j], stems[j]+"s")
+		}
+	}
+	return schemas
 }
 
 // randomConstraints draws up to two disjoint GA constraints over sources
@@ -121,10 +178,22 @@ func caseConfig(c componentCase, sc *Scratch, indexed bool, measure strsim.Measu
 }
 
 // checkComponentCase fails unless the component path reproduces want bit
-// for bit: the same Result, and F1 equal to its Quality and Valid. It
-// returns the number of memoized Parts the path took.
-func checkComponentCase(t *testing.T, where string, c componentCase, cfg Config, want Result, memo map[string]*Part) int {
+// for bit: the same Result, and F1 equal to its Quality and Valid; and
+// unless every component decided in closed form has the Part a fresh
+// agenda run gives it. It returns the number of memoized Parts the path
+// took and the number of closed-form components.
+func checkComponentCase(t *testing.T, where string, c componentCase, cfg Config, want Result, memo map[string]*Part) (hits, closed int) {
 	t.Helper()
+	cs := Split(c.u, c.S, c.G, cfg)
+	if cfg.Neighbors == nil && cs.Closed() > 0 {
+		t.Fatalf("%s: %d components decided in closed form without an index", where, cs.Closed())
+	}
+	for k := cs.Len(); k < cs.Len()+cs.Closed(); k++ {
+		if p, q, same := cs.audit(k); !same {
+			t.Fatalf("%s (θ=%v β=%d S=%v G=%v): closed-form component %d:\nclosed form: %+v\nagenda:      %+v", where, c.theta, c.beta, c.S, c.G, k, p, q)
+		}
+	}
+	closed = cs.Closed()
 	got, q, valid, hits := componentResult(c, cfg, memo)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s (θ=%v β=%d S=%v C=%v G=%v):\ncomponents: %+v\nreference:  %+v", where, c.theta, c.beta, c.S, c.C, c.G, got, want)
@@ -132,12 +201,12 @@ func checkComponentCase(t *testing.T, where string, c componentCase, cfg Config,
 	if math.Float64bits(q) != math.Float64bits(want.Quality) || valid != want.Valid {
 		t.Fatalf("%s: F1 = (%v, %v), reference (%v, %v)", where, q, valid, want.Quality, want.Valid)
 	}
-	return hits
+	return hits, closed
 }
 
 // checkAgainstAlgorithm1 is checkComponentCase against the Algorithm 1
 // transcription.
-func checkAgainstAlgorithm1(t *testing.T, where string, c componentCase, cfg Config, memo map[string]*Part) int {
+func checkAgainstAlgorithm1(t *testing.T, where string, c componentCase, cfg Config, memo map[string]*Part) (hits, closed int) {
 	t.Helper()
 	return checkComponentCase(t, where, c, cfg, algorithm1(c.u, c.S, c.C, c.G, cfg), memo)
 }
@@ -145,30 +214,101 @@ func checkAgainstAlgorithm1(t *testing.T, where string, c componentCase, cfg Con
 // TestComponentsMatchWholeSet is the decomposition differential: on
 // random universes, with GA constraints, source constraints (valid and
 // invalid sets), β above 2 and several θ, composing per-component runs,
-// with components of one shape sharing a Part, must give exactly the
-// Algorithm 1 transcription — with and without the adjacency index
-// (without it the set is one component).
+// with components of one shape sharing a Part and source-disjoint ones
+// decided in closed form, must give exactly the Algorithm 1 transcription
+// — with and without the adjacency index (without it the set is one
+// component). Only components where a source repeats reach the memo, so
+// Parts are shared on universes of paired names (pairedSchemas).
 func TestComponentsMatchWholeSet(t *testing.T) {
 	r := rand.New(rand.NewSource(20261017))
 	sc := &Scratch{}
-	var withG, invalid, multi, shared int
+	var withG, invalid, multi, shared, closed int
 	for trial := 0; trial < 600; trial++ {
 		c := randomCase(r)
 		cfg := caseConfig(c, sc, trial%4 != 0, nil)
-		shared += checkAgainstAlgorithm1(t, "trial "+strconv.Itoa(trial), c, cfg, nil)
+		hits, k := checkAgainstAlgorithm1(t, "trial "+strconv.Itoa(trial), c, cfg, nil)
+		shared, closed = shared+hits, closed+k
 		if len(c.G) > 0 {
 			withG++
 		}
 		if !algorithm1(c.u, c.S, c.C, c.G, cfg).Valid {
 			invalid++
 		}
-		if Split(c.u, c.S, c.G, cfg).Len() > 1 {
+		if cs := Split(c.u, c.S, c.G, cfg); cs.Len()+cs.Closed() > 1 {
 			multi++
 		}
 	}
-	if withG == 0 || invalid == 0 || multi == 0 || shared == 0 {
-		t.Fatalf("coverage: %d cases with GA constraints, %d invalid on C, %d with several components, %d shared Parts",
-			withG, invalid, multi, shared)
+	paired := rand.New(rand.NewSource(20261020))
+	for trial := 0; trial < 200; trial++ {
+		c := drawCase(paired, pairedSchemas)
+		hits, _ := checkAgainstAlgorithm1(t, "paired trial "+strconv.Itoa(trial), c, caseConfig(c, sc, true, nil), nil)
+		shared += hits
+	}
+	if withG == 0 || invalid == 0 || multi == 0 || shared == 0 || closed == 0 {
+		t.Fatalf("coverage: %d cases with GA constraints, %d invalid on C, %d with several components, %d shared Parts, %d closed-form components",
+			withG, invalid, multi, shared, closed)
+	}
+}
+
+// TestClosedFormParts is the closed form's differential. On universes
+// whose sources take at most one name of each family (familySchemas), so
+// that most components are source-disjoint, every component Split decides
+// in closed form must have the Part a fresh agenda run gives it, and the
+// composed set the Algorithm 1 transcription's Result. The trials cover
+// β 2–4, closed-form components with no, one and two GA constraints and
+// with names repeated across sources, an index at θ and one built 0.15
+// below it, both measures, and no index, where nothing is decided in
+// closed form.
+func TestClosedFormParts(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	sc := &Scratch{}
+	var byGAs [3]int
+	var byBeta [5]int
+	var repeated, below, unindexed int
+	for trial := 0; trial < 600; trial++ {
+		c := drawCase(r, familySchemas)
+		if trial%4 == 0 {
+			c.G = sameNameConstraints(r, c.u, c.S)
+		}
+		for try := 0; trial%4 == 2 && len(c.G) < 2 && len(c.S) >= 2 && try < 4; try++ {
+			c.G = randomConstraints(r, c.u, c.S)
+		}
+		var measure strsim.Measure
+		if trial%5 == 0 {
+			measure = strsim.LevenshteinRatio{}
+		}
+		cfg := caseConfig(c, sc, trial%3 != 2, measure)
+		if trial%3 == 1 {
+			cfg.Neighbors = cfg.Scores.(*strsim.Matrix).Neighbors(c.theta - 0.15)
+		}
+		if _, closed := checkAgainstAlgorithm1(t, "trial "+strconv.Itoa(trial), c, cfg, nil); cfg.Neighbors == nil {
+			unindexed++
+			continue
+		} else if trial%3 == 1 {
+			below += closed
+		}
+		cs := Split(c.u, c.S, c.G, cfg)
+		for k := cs.Len(); k < cs.Len()+cs.Closed(); k++ {
+			nG, names := 0, map[int32]bool{}
+			for _, gk := range cs.gComp {
+				if int(gk) == k {
+					nG++
+				}
+			}
+			n := cs.comps[k].hi - cs.comps[k].lo
+			for pos := range n {
+				names[cs.slot(k, pos).name] = true
+			}
+			byGAs[min(nG, 2)]++
+			byBeta[c.beta]++
+			if len(names) < int(n) {
+				repeated++
+			}
+		}
+	}
+	if slices.Contains(byGAs[:], 0) || slices.Contains(byBeta[2:], 0) || repeated == 0 || below == 0 || unindexed == 0 {
+		t.Fatalf("coverage: closed-form components with 0/1/2 GA constraints %v, by β %v, %d with a repeated name, %d under a below-θ index; %d cases without an index",
+			byGAs, byBeta[2:], repeated, below, unindexed)
 	}
 }
 
@@ -256,10 +396,14 @@ func TestComponentMemoIsExact(t *testing.T) {
 // parameters, and a second set one move away that shares most of the
 // first one's components. Composing the components — the second set
 // reusing the first set's Parts by key — must equal the Algorithm 1
-// transcription for both sets. mode picks the scorer: bit 0 drops the
-// dense matrix and adjacency index (the whole set is one component,
-// scored through the Cache, so the agenda keys pairs by rank), bit 1
-// scores with LevenshteinRatio instead of the default n-gram measure.
+// transcription for both sets, and every component decided in closed
+// form must have a fresh agenda run's Part. mode picks the inputs: bit 0
+// drops the dense matrix and adjacency index (the whole set is one
+// component, scored through the Cache, so the agenda keys pairs by rank),
+// bit 1 scores with LevenshteinRatio instead of the default n-gram
+// measure, bit 2 builds the index 0.15 below θ, and bit 3 draws the
+// schemas from name families (familySchemas), where most components are
+// source-disjoint and decided in closed form.
 func FuzzMatchComponents(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(2), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(14), uint8(1), uint8(3), uint8(0))
@@ -268,11 +412,19 @@ func FuzzMatchComponents(f *testing.F) {
 	f.Add(int64(11), uint8(12), uint8(2), uint8(1), uint8(1))
 	f.Add(int64(5), uint8(17), uint8(1), uint8(0), uint8(2))
 	f.Add(int64(23), uint8(9), uint8(3), uint8(2), uint8(3))
+	f.Add(int64(3), uint8(15), uint8(2), uint8(1), uint8(8))
+	f.Add(int64(8), uint8(18), uint8(0), uint8(3), uint8(12))
+	f.Add(int64(13), uint8(11), uint8(2), uint8(2), uint8(14))
+	f.Add(int64(29), uint8(16), uint8(3), uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, size, thetaSel, betaSel, mode uint8) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + int(size)%20
+		schemas := randomSchemas
+		if mode&8 != 0 {
+			schemas = familySchemas
+		}
 		c := componentCase{
-			u:     mkUniverse(randomSchemas(r, n)...),
+			u:     mkUniverse(schemas(r, n)...),
 			theta: []float64{0.35, 0.5, 0.65, 0.8, 1}[int(thetaSel)%5],
 			beta:  1 + int(betaSel)%4,
 		}
@@ -293,6 +445,9 @@ func FuzzMatchComponents(f *testing.F) {
 			measure = strsim.LevenshteinRatio{}
 		}
 		cfg := caseConfig(c, &Scratch{}, mode&1 == 0, measure)
+		if mode&5 == 4 {
+			cfg.Neighbors = cfg.Scores.(*strsim.Matrix).Neighbors(c.theta - 0.15)
+		}
 		memo := map[string]*Part{}
 		checkAgainstAlgorithm1(t, "first set", c, cfg, memo)
 

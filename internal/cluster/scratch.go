@@ -33,11 +33,12 @@ type Scratch struct {
 
 	split Components // Split's result and working memory
 
-	// Work counts of the agenda runs since the last flush. A Match or
+	// Work counts of the agenda runs, and of the components Split
+	// decided in closed form, since the last flush. A Match or
 	// Components.Match call adds them to its Config.Stats once, not
 	// per run: a solve makes tens of thousands of runs, and the
 	// counters are atomics shared by every worker.
-	runs, rounds, pops, pairs int64
+	runs, rounds, pops, pairs, closed int64
 }
 
 // flush adds the work counts gathered since the last flush to st.
@@ -46,7 +47,8 @@ func (s *Scratch) flush(st *trace.Stats) {
 	st.Add(trace.CClusterRounds, s.rounds)
 	st.Add(trace.CClusterPops, s.pops)
 	st.Add(trace.CClusterPairs, s.pairs)
-	s.runs, s.rounds, s.pops, s.pairs = 0, 0, 0, 0
+	st.Add(trace.CClusterClosed, s.closed)
+	s.runs, s.rounds, s.pops, s.pairs, s.closed = 0, 0, 0, 0, 0
 }
 
 // reset sizes the slabs for one run over up to seeds initial clusters, of

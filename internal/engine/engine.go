@@ -177,8 +177,9 @@ type Engine struct {
 }
 
 // CacheStats counts the component memo's traffic in one solve. Hits and
-// Misses cover the lookups; Evictions counts entries dropped to keep the
-// memo bounded.
+// Misses cover the lookups of components where a source has two slots
+// (the others are decided in closed form); Evictions counts entries
+// dropped to keep the memo bounded.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 }

@@ -10,6 +10,7 @@ import (
 	"ube/internal/model"
 	"ube/internal/qef"
 	"ube/internal/search"
+	"ube/internal/trace"
 )
 
 // solveComposite builds Solve's composite of the QEFs other than F1 and
@@ -123,28 +124,40 @@ func TestDeltaObjectiveMatchesFull(t *testing.T) {
 // over the plain objective — whole-set cluster.Match with no adjacency
 // index plus the full composite evaluation, with no delta objective and
 // no component memo. The chosen sources must be identical and the quality
-// equal to float reassociation error.
+// equal to float reassociation error. It runs on the plain universe, where
+// Solve decides every component in closed form, and on the paired one
+// (pairedEngine), where components reach the memo.
 func TestSolveIncrementalMatchesLegacy(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e, _ := testEngine(t, 40)
-		p := smallProblem()
-		p.MaxSources = 10
-		p.MaxEvals = 1500
-		p.Workers = workers
+	for _, paired := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			e, _ := testEngine(t, 40)
+			if paired {
+				e = pairedEngine(t, 40)
+			}
+			p := smallProblem()
+			p.MaxSources = 10
+			p.MaxEvals = 1500
+			p.Workers = workers
+			tr := trace.New()
+			p.Trace = tr
 
-		got, err := e.Solve(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := plainSolve(t, e, &p)
-		if !reflect.DeepEqual(got.Sources, want.S.Elements()) {
-			t.Fatalf("workers=%d: Solve chose %v, the plain objective %v", workers, got.Sources, want.S.Elements())
-		}
-		if math.Abs(got.Quality-want.Quality) > 1e-9 {
-			t.Fatalf("workers=%d: quality %v vs %v", workers, got.Quality, want.Quality)
-		}
-		if got.MatchCache.Hits+got.MatchCache.Misses == 0 {
-			t.Fatal("no component memo traffic recorded")
+			got, err := e.Solve(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plainSolve(t, e, &p)
+			if !reflect.DeepEqual(got.Sources, want.S.Elements()) {
+				t.Fatalf("paired=%v workers=%d: Solve chose %v, the plain objective %v", paired, workers, got.Sources, want.S.Elements())
+			}
+			if math.Abs(got.Quality-want.Quality) > 1e-9 {
+				t.Fatalf("paired=%v workers=%d: quality %v vs %v", paired, workers, got.Quality, want.Quality)
+			}
+			if closed := tr.Finish().Totals()[trace.CClusterClosed]; !paired && closed == 0 {
+				t.Fatal("no closed-form components recorded")
+			}
+			if paired && got.MatchCache.Hits+got.MatchCache.Misses == 0 {
+				t.Fatal("no component memo traffic recorded")
+			}
 		}
 	}
 }

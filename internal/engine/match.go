@@ -10,11 +10,11 @@ import (
 )
 
 // This file holds the solve's F1 path: Match(S) evaluated one θ-component
-// at a time (see cluster.Split), with a per-solve memo of component
-// results keyed by shape (see cluster.Components.Key). Tabu moves add or
-// drop a source or two, so most of a candidate's components were already
-// clustered for an earlier candidate, and most of the rest repeat the
-// shape of one that was; only new shapes run Algorithm 1.
+// at a time (see cluster.Split). Split decides every component where no
+// source has two slots in closed form; on synthetic universes that is
+// about every component. The rest go through a per-solve memo of
+// component results keyed by shape (see cluster.Components.Key), and
+// only new shapes run Algorithm 1.
 
 // componentMemoLimit bounds the per-solve component memo. A miss that
 // finds it full first drops every finished entry: results never depend
@@ -64,16 +64,21 @@ func (m *matcher) split(S *model.SourceSet, ws *evalScratch) *cluster.Components
 	ws.ids = S.AppendElements(ws.ids[:0])
 	cs := cluster.Split(m.e.u, ws.ids, m.G, cfg)
 	ws.missing, ws.waiting, ws.claimed, ws.waitOn, ws.audit = ws.missing[:0], ws.waiting[:0], ws.claimed[:0], ws.waitOn[:0], ws.audit[:0]
+	for i := cs.Len(); ubedebug.Enabled && i < cs.Len()+cs.Closed(); i++ {
+		if ubedebug.ShouldAudit() {
+			ws.audit = append(ws.audit, i)
+		}
+	}
 	if m.memo == nil {
 		for i := 0; i < cs.Len(); i++ {
 			ws.missing = append(ws.missing, i)
 		}
 		cs.Match(ws.missing)
-		return cs
+	} else {
+		m.memo.claim(cs, ws, cfg.Stats)
+		cs.Match(ws.missing)
+		m.memo.settle(cs, ws)
 	}
-	m.memo.claim(cs, ws, cfg.Stats)
-	cs.Match(ws.missing)
-	m.memo.settle(cs, ws)
 	for _, i := range ws.audit {
 		cs.Audit(i)
 	}
@@ -94,7 +99,7 @@ func (m *matcher) stats() CacheStats {
 type evalScratch struct {
 	cluster                 cluster.Scratch
 	ids                     []int
-	missing, waiting, audit []int // audit: the hits the ubedebug build re-checks
+	missing, waiting, audit []int // audit: the components the ubedebug build re-checks
 	claimed, waitOn         []*memoEntry
 }
 

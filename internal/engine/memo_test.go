@@ -75,6 +75,35 @@ func TestSolveInputIsASnapshot(t *testing.T) {
 	}
 }
 
+// pairedEngine builds an engine over the quick synthetic universe with
+// every source also holding the plural of its first attribute, which the
+// default measure scores at least 0.66 against it (see pairUp). Each such
+// pair puts two slots of one source in one θ-component, so components
+// repeat a source and reach the component memo: on the plain universe
+// every component is source-disjoint and decided in closed form.
+func pairedEngine(t testing.TB, n int) *Engine {
+	t.Helper()
+	u, _, err := synth.Generate(synth.QuickConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairUp(u)
+	e, err := New(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// pairUp appends to every source the plural of its first attribute.
+func pairUp(u *model.Universe) {
+	for i := range u.Sources {
+		if a := u.Sources[i].Attributes; !slices.Contains(a, a[0]+"s") {
+			u.Sources[i].Attributes = append(a, a[0]+"s")
+		}
+	}
+}
+
 // memoProblems are the solves the component-memo tests run: plain, with a
 // GA constraint and a source constraint, and at a second θ with β = 3.
 func memoProblems() []Problem {
@@ -90,10 +119,11 @@ func memoProblems() []Problem {
 }
 
 // TestComponentMemoMatchesUnmemoized runs whole tabu solves with and
-// without the per-solve component memo, at Workers 1 and 4: the solutions
-// must be identical, and the memo must actually serve hits.
+// without the per-solve component memo, at Workers 1 and 4, over the
+// paired universe: the solutions must be identical, and the memo must
+// actually serve hits.
 func TestComponentMemoMatchesUnmemoized(t *testing.T) {
-	e, _ := testEngine(t, 40)
+	e := pairedEngine(t, 40)
 	off, err := New(e.u, WithoutMatchCache())
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +153,11 @@ func TestComponentMemoMatchesUnmemoized(t *testing.T) {
 	}
 }
 
-// TestComponentMemoOverCap shrinks the memo bound so solves overflow it
-// many times: every overflow evicts, and the solutions must stay
-// identical to uncapped solves at Workers 1 and 4.
+// TestComponentMemoOverCap shrinks the memo bound so solves over the
+// paired universe overflow it many times: every overflow evicts, and the
+// solutions must stay identical to uncapped solves at Workers 1 and 4.
 func TestComponentMemoOverCap(t *testing.T) {
-	e, _ := testEngine(t, 40)
+	e := pairedEngine(t, 40)
 	capped, err := New(e.u)
 	if err != nil {
 		t.Fatal(err)

@@ -114,3 +114,42 @@ func TestChurnAuditRuns(t *testing.T) {
 		t.Fatalf("canonical traces differ with the churn audits armed:\n--- armed\n%s\n--- disarmed\n%s", armed, disarmed)
 	}
 }
+
+// TestClosedFormAuditsRun solves with every sampled audit firing, at
+// Workers 1 and 4. Each component decided in closed form is then
+// re-clustered by the agenda and compared bit for bit (a divergence
+// panics the solve), so the audits must number at least the closed-form
+// components the trace counts; every other audit kind fires at most a
+// few times per evaluation, far fewer. The canonical trace must be
+// byte-identical to one with the audits disarmed.
+func TestClosedFormAuditsRun(t *testing.T) {
+	e, _ := testEngine(t, 40)
+	solve := func(every uint64, workers int) ([]byte, int64, uint64) {
+		prev := ubedebug.SetAuditEvery(every)
+		defer ubedebug.SetAuditEvery(prev)
+		p := smallProblem()
+		p.Workers = workers
+		tr := trace.New()
+		p.Trace = tr
+		before := ubedebug.Audited()
+		if _, err := e.Solve(&p); err != nil {
+			t.Fatal(err)
+		}
+		fin := tr.Finish()
+		data, err := json.Marshal(fin.Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, fin.Totals()[trace.CClusterClosed], ubedebug.Audited() - before
+	}
+	for _, workers := range []int{1, 4} {
+		armed, closed, audits := solve(1, workers)
+		disarmed, _, _ := solve(math.MaxUint64, workers)
+		if closed == 0 || audits < uint64(closed) {
+			t.Fatalf("workers=%d: %d audits ran over %d closed-form components with every call sampled", workers, audits, closed)
+		}
+		if !bytes.Equal(armed, disarmed) {
+			t.Fatalf("workers=%d: canonical traces differ with the closed-form audits armed:\n--- armed\n%s\n--- disarmed\n%s", workers, armed, disarmed)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ube/internal/engine"
@@ -57,12 +58,36 @@ func (r traceRun) Solve() (*engine.Solution, *trace.Trace, error) {
 	return sol, trc.Finish(), nil
 }
 
+// pairedSetup is NewSetup with every source also holding the plural of
+// its first attribute, a name the default measure scores at least 0.66
+// against it: such a source has two slots in one θ-component, so the
+// solve runs Algorithm 1 on that component instead of deciding it in
+// closed form.
+func pairedSetup(t *testing.T, n int, o Options) *Setup {
+	t.Helper()
+	s, err := NewSetup(n, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.U.Sources {
+		if a := s.U.Sources[i].Attributes; !slices.Contains(a, a[0]+"s") {
+			s.U.Sources[i].Attributes = append(a, a[0]+"s")
+		}
+	}
+	if s.E, err = engine.New(s.U); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestTraceCountersDeterministic solves the same problem twice per
 // (optimizer, Workers) configuration, each time on a fresh engine, and
 // requires byte-identical canonical traces: same span tree, same
 // deterministic counter payloads. This is the tracing extension of the
 // repro suite's "solves are pure functions of (problem, seed, Workers)"
-// contract.
+// contract. The synthetic universes' components are all source-disjoint,
+// so their clustering work shows as closed-form components; the paired
+// universe's case runs Algorithm 1, so its work shows as agenda pops.
 func TestTraceCountersDeterministic(t *testing.T) {
 	o := quickOpts()
 	s, err := NewSetup(60, o)
@@ -74,6 +99,7 @@ func TestTraceCountersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	paired := pairedSetup(t, 60, o)
 	cases := []struct {
 		name   string
 		s      *Setup
@@ -81,6 +107,7 @@ func TestTraceCountersDeterministic(t *testing.T) {
 		newOpt func() search.Optimizer
 	}{
 		{"tabu", s, 12, func() search.Optimizer { return search.NewTabu() }},
+		{"tabu-paired", paired, 12, func() search.Optimizer { return search.NewTabu() }},
 		{"sls", s, 12, func() search.Optimizer { return search.NewSLS() }},
 		{"anneal", s, 12, func() search.Optimizer { return search.NewAnneal() }},
 		{"pso", s, 12, func() search.Optimizer { return search.NewPSO() }},
@@ -104,11 +131,11 @@ func TestTraceCountersDeterministic(t *testing.T) {
 				if totals[trace.CSearchEvals] == 0 {
 					t.Error("trace counted no objective evaluations")
 				}
-				if totals[trace.CMatchRuns] == 0 {
-					t.Error("trace counted no clustering runs")
+				if tc.s != paired && totals[trace.CClusterClosed] == 0 {
+					t.Error("trace counted no closed-form components")
 				}
-				if totals[trace.CClusterPops] == 0 {
-					t.Error("trace counted no agenda pops")
+				if tc.s == paired && (totals[trace.CMatchRuns] == 0 || totals[trace.CClusterPops] == 0) {
+					t.Error("trace counted no clustering runs or agenda pops")
 				}
 			})
 		}

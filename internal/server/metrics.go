@@ -96,7 +96,9 @@ type metricsDoc struct {
 	AuditDropped    int64 `json:"auditLinesDropped"`
 
 	// Per-solve component memo traffic (engine.Solution.MatchCache),
-	// summed over solves; the names predate the component memo.
+	// summed over solves; the names predate the component memo. Only
+	// components where a source has two slots reach the memo, so on
+	// universes without such components these read 0.
 	MatchCacheHits      int64 `json:"matchCacheHits"`
 	MatchCacheMisses    int64 `json:"matchCacheMisses"`
 	MatchCacheEvictions int64 `json:"matchCacheEvictions"`

@@ -47,15 +47,18 @@ const (
 	// CMatchRuns counts Algorithm 1 runs: one per component memo miss,
 	// i.e. per distinct shape a solve clusters (a component with a GA
 	// constraint or more than 8 names counts as its own shape), and one
-	// per whole-set Match call.
+	// per whole-set Match call. Closed-form components (CClusterClosed)
+	// take none, so on synthetic universes it reads about 0.
 	CMatchRuns
 	// CMatchHits counts component memo hits: components that took the
-	// Part of an earlier component of the same shape.
+	// Part of an earlier component of the same shape. Only components
+	// where a source has two slots reach the memo.
 	CMatchHits
 	// CMatchMisses counts component memo misses: the distinct shapes a
 	// solve clusters.
 	CMatchMisses
-	// CClusterRounds counts agenda rounds across clustering runs.
+	// CClusterRounds counts agenda rounds across clustering runs. Like
+	// CClusterPops and CClusterPairs it moves only with CMatchRuns.
 	CClusterRounds
 	// CClusterPops counts agenda entries examined (pops off the merged
 	// carry-over/fresh stream).
@@ -63,6 +66,10 @@ const (
 	// CClusterPairs counts candidate pairs scored at or above θ and
 	// admitted to the agenda.
 	CClusterPairs
+	// CClusterClosed counts the components cluster.Split decides in
+	// closed form, with no memo lookup and no Algorithm 1 run: those
+	// where no source has two slots, over every candidate split.
+	CClusterClosed
 	// CQEFDelta counts edit QEF evaluations (Composite.EvalEdit): adds,
 	// drops and swaps evaluated off the incumbent's base state.
 	CQEFDelta
@@ -118,6 +125,7 @@ var counterNames = [NumCounters]string{
 	CClusterRounds:   "cluster.rounds",
 	CClusterPops:     "cluster.pops",
 	CClusterPairs:    "cluster.pairs",
+	CClusterClosed:   "cluster.closed",
 	CQEFDelta:        "qef.delta",
 	CQEFFull:         "qef.full",
 	CSketchUnions:    "pcsa.unions",
